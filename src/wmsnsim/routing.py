@@ -1,23 +1,38 @@
 """Multipath route discovery over directional optical links.
 
-A probe message floods outward from the source under a monotone-progress
-rule, every arrival at the sink records one path, and the path whose
-intermediate stations deviate least from the straight source-sink
-reference line wins. Discovery is breadth-first with candidates visited
-in ascending station id, so results are fully deterministic.
+The protocol floods a probe outward from the source under a
+monotone-progress rule; every arrival at the sink records one path, and
+the path whose intermediate stations deviate least from the straight
+source-sink reference line wins. The flood is breadth-first with
+candidates visited in ascending station id, so it returns arrivals
+ordered by hop count, then lexicographically by hop sequence.
+
+In GREEDY mode every hop is strictly closer to the sink, so the forwarding
+relation is a DAG. Discovery there sends no probes: it enumerates the
+DAG's source-sink paths in the flood's order and returns exactly the
+flood's first `max_paths` arrivals. Its work is at most one beam test per
+station pair plus a walk along the paths it returns. LITERAL mode is not
+a DAG and still floods, with no bound on its work.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
-from .geometry import Point, angle_diff, bearing, distance, point_to_line_distance
+from .geometry import (
+    ANGLE_TOL,
+    Point,
+    angle_diff,
+    bearing,
+    distance,
+    point_to_line_distance,
+)
 from .topology import Network, NotClusterHeadError, StationKind, fso_can_transmit
-
-ANGLE_TOL = 1e-9
 
 DEFAULT_MAX_PATHS = 16
 
@@ -174,12 +189,21 @@ def next_hop_candidates(
             continue
         if not distance(st.position, sink_pos) < reference:
             continue
-        if deviation_mode and st.position != src_pos:
-            off = abs(angle_diff(bearing(src_pos, st.position), axis))
-            if off > probe.deviation_angle + ANGLE_TOL:
-                continue
+        if deviation_mode and not _in_corridor(
+            st.position, src_pos, axis, probe.deviation_angle
+        ):
+            continue
         out.append(st.id)
     return out
+
+
+def _in_corridor(pos: Point, src_pos: Point, axis: float, angle: float) -> bool:
+    """Deviation filter: the bearing from the source to `pos` lies within
+    `angle` of the source-sink axis. A station at the source's position
+    has no bearing and always passes."""
+    if pos == src_pos:
+        return True
+    return abs(angle_diff(bearing(src_pos, pos), axis)) <= angle + ANGLE_TOL
 
 
 def collect_paths(
@@ -188,8 +212,102 @@ def collect_paths(
     sink: int,
     config: RouteConfig = RouteConfig(),
 ) -> list[Path]:
+    """The probe flood's sink arrivals, in arrival order (hop count, then
+    hop sequence), capped at config.max_paths.
+
+    GREEDY mode enumerates the progress DAG and sends no probes; LITERAL
+    mode runs the flood itself.
+    """
+    if config.progress_mode is ProgressMode.LITERAL:
+        return _flood_paths(net, source, sink, config)
+    probe = make_probe(
+        net,
+        source,
+        sink,
+        deviation_angle=config.deviation_angle,
+        hop_budget=config.hop_budget,
+    )
+    paths = _greedy_paths(net, probe, config.deviation_mode)
+    return list(islice(paths, config.max_paths))
+
+
+def _greedy_paths(
+    net: Network, probe: ProbeMessage, deviation_mode: bool
+) -> Iterator[Path]:
+    """Source-sink paths of the GREEDY progress DAG, by hop count, then
+    lexicographically, up to the probe's hop budget. With `deviation_mode`
+    every station must also lie within the probe's deviation angle."""
+    source, sink = probe.source, probe.sink
+    sink_pos = net.station(sink).position
+    src_pos = net.station(source).position
+    axis = bearing(src_pos, sink_pos)
+    dist = {
+        st.id: distance(st.position, sink_pos)
+        for st in net.stations()
+        if st.kind is StationKind.CLUSTER_HEAD or st.id == sink
+    }
+    # every hop is strictly closer to the sink than its holder, so only
+    # stations closer than the source can follow it; the deviation filter
+    # depends on the candidate alone, so it thins the station set up front
+    nodes = [source] + [
+        v
+        for v in dist
+        if dist[v] < dist[source]
+        and (
+            not deviation_mode
+            or _in_corridor(
+                net.station(v).position, src_pos, axis, probe.deviation_angle
+            )
+        )
+    ]
+    # the sink sits at distance 0, so it gets no successors and is never
+    # asked to transmit
+    succ = {
+        v: [w for w in nodes if dist[w] < dist[v] and fso_can_transmit(net, v, w)]
+        for v in nodes
+    }
+    # bit j of reach[v] is set iff some v->sink path has exactly j hops;
+    # successors are closer to the sink, so ascending distance visits
+    # them first
+    reach = {}
+    for v in sorted(nodes, key=dist.__getitem__):
+        reach[v] = 1 if v == sink else 0
+        for w in succ[v]:
+            reach[v] |= reach[w] << 1
+
+    for k in range(1, min(probe.hop_budget, len(nodes) - 1) + 1):
+        if not reach[source] >> k & 1:
+            continue
+        # depth-first in ascending id, entering only stations that can
+        # still reach the sink in exactly the hops left
+        path = [source]
+        stack = [iter(succ[source])]
+        while stack:
+            w = next(stack[-1], None)
+            if w is None:
+                stack.pop()
+                path.pop()
+                continue
+            left = k - len(path)
+            if not reach[w] >> left & 1:
+                continue
+            if left == 0:
+                yield Path((*path, w))
+            else:
+                path.append(w)
+                stack.append(iter(succ[w]))
+
+
+def _flood_paths(
+    net: Network,
+    source: int,
+    sink: int,
+    config: RouteConfig = RouteConfig(),
+) -> list[Path]:
     """Breadth-first probe expansion; one Path per probe arrival at the
-    sink, in discovery order, capped at config.max_paths."""
+    sink, in discovery order, capped at config.max_paths. Probes that
+    never reach the sink are forwarded too, so the work can grow
+    exponentially with the network."""
     probe = make_probe(
         net,
         source,

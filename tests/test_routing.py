@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wmsnsim import routing
 from wmsnsim import (
     EmptyPathSetError,
     GridSpec,
@@ -25,6 +26,7 @@ from wmsnsim import (
     score_path,
     select_best_path,
 )
+from wmsnsim.routing import _flood_paths
 
 GRID = GridSpec(cell_width=10.0, cell_height=10.0)
 TWO_PI = 2 * math.pi
@@ -317,3 +319,72 @@ def test_discover_picks_global_minimum():
         assert best.path.hops == want.path.hops
         assert best.mean_deviation == pytest.approx(want.mean_deviation)
     assert found_some > 5  # the layouts must actually exercise selection
+
+
+def test_greedy_discovery_matches_the_flood_in_order():
+    rng = random.Random(97)
+    corridors = [
+        {},
+        {"deviation_mode": True, "deviation_angle": 0.3},
+        {"deviation_mode": True, "deviation_angle": 1.5},
+    ]
+    cases = 0
+    for _ in range(50):
+        net = random_net(rng)
+        for src in (s.id for s in net.cluster_heads()):
+            for max_paths in (1, 4, 16):
+                for hop_budget in (1, 2, 3, None):
+                    for corridor in corridors:
+                        cfg = RouteConfig(
+                            max_paths=max_paths, hop_budget=hop_budget, **corridor
+                        )
+                        got = collect_paths(net, src, 99, cfg)
+                        assert got == _flood_paths(net, src, 99, cfg)
+                        cases += bool(got)
+    assert cases > 4000  # most cases must find paths to compare
+
+
+def grid_net(k):
+    """k x k cluster heads on a 100 m pitch, beams east with reach 150,
+    sink 1000 east of the middle row."""
+    stations = []
+    for gy in range(k):
+        for gx in range(k):
+            x, y = 50.0 + 100.0 * gx, 50.0 + 100.0 * gy
+            stations.append(
+                Station(
+                    id=k * gy + gx,
+                    kind=StationKind.CLUSTER_HEAD,
+                    position=Point(x, y),
+                    rf_range=200.0,
+                    sector=Sector(
+                        Point(x, y), theta=0.0, alpha=math.pi / 2, range=150.0
+                    ),
+                )
+            )
+    stations.append(make_bs(1000, 50.0 + 100.0 * k, 50.0 + 100.0 * (k // 2)))
+    grid = GridSpec(cell_width=100.0, cell_height=100.0)
+    return Network(stations, sink=1000, grid_spec=grid)
+
+
+def test_greedy_discovery_work_is_bounded_on_grid12(monkeypatch):
+    # the probe flood made over half a million beam tests per flow on the
+    # 10 x 10 grid, and more on this one
+    net = grid_net(12)
+    n = len(net.ids())
+    calls = 0
+    beam_test = routing.fso_can_transmit
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return beam_test(*args)
+
+    monkeypatch.setattr(routing, "fso_can_transmit", counted)
+    for gy in range(12):
+        calls = 0
+        paths = collect_paths(net, 12 * gy, 1000)
+        assert calls <= n * n
+        assert len(paths) == RouteConfig().max_paths
+        assert paths == sorted(paths, key=lambda p: (p.hop_count, p.hops))
+        assert len({p.hops for p in paths}) == len(paths)
