@@ -5,12 +5,10 @@ metering, fault injection, and post-run trace audits."""
 
 from .audit import AuditReport, Verdict, run_audits
 from .engine import (
-    SEMI_BONDED_GAP_FRAMES,
     ChannelConfig,
     EnergyCosts,
     EnergyMeter,
     FlowStats,
-    SimClock,
     SimReport,
     Simulation,
     StationStats,
@@ -79,14 +77,13 @@ from .scenario import (
     to_dict,
 )
 from .topology import (
-    NeighborTable,
     Network,
     NotClusterHeadError,
     Station,
     StationKind,
     UnknownStationError,
+    attach_point,
     common_range,
-    discover_neighbors,
     fso_can_transmit,
     rf_hop_distance,
     rf_neighbors,

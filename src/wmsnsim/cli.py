@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 
 from .audit import AuditReport, run_audits
 from .engine import SimReport, Simulation, serialize_trace
-from .geometry import distance
-from .routing import ProgressMode, RouteConfig, collect_paths, score_path
+from .routing import ProgressMode, collect_paths, score_path
 from .scenario import Scenario, ScenarioError, from_dict
-from .topology import StationKind
+from .topology import attach_point
 
 METRIC_COLUMNS = [
     "row_type",
@@ -83,13 +83,7 @@ def _load_scenario(args) -> Scenario | None:
             print(f"error: {issue}", file=sys.stderr)
         return None
     if getattr(args, "literal_progress", False):
-        sc.routing = RouteConfig(
-            progress_mode=ProgressMode.LITERAL,
-            hop_budget=sc.routing.hop_budget,
-            max_paths=sc.routing.max_paths,
-            deviation_mode=sc.routing.deviation_mode,
-            deviation_angle=sc.routing.deviation_angle,
-        )
+        sc.routing = dataclasses.replace(sc.routing, progress_mode=ProgressMode.LITERAL)
     return sc
 
 
@@ -189,16 +183,10 @@ def _cmd_route(args) -> int:
     if sc is None:
         return 1
     net = sc.build_network()
-    chs = sorted(s.id for s in net.cluster_heads())
     status = 0
     for flow in sorted(sc.flows, key=lambda f: f.id):
-        src = net.station(flow.src)
-        origin = flow.src
-        if src.kind is StationKind.SENSOR_NODE:
-            origin = min(
-                chs,
-                key=lambda c: (distance(src.position, net.station(c).position), c),
-            )
+        origin = attach_point(net, flow.src)
+        if origin != flow.src:
             print(f"flow {flow.id}: {flow.src} attaches at cluster head {origin}")
         if origin == flow.dst:
             print(f"flow {flow.id}: source attaches at its destination")
@@ -249,6 +237,7 @@ def _cmd_sweep(args) -> int:
                     "deadline_miss_rate": f"{fs.deadline_miss_rate:.6f}",
                     "loss_rate": f"{fs.loss_rate:.6f}",
                     "audits": "pass" if audit.headline_passed else "fail",
+                    "trace_digest": report.trace_digest,
                 }
             )
         print(
@@ -266,7 +255,7 @@ def _cmd_sweep(args) -> int:
             fieldnames=[
                 "seed", "flow_id", "class", "generated", "delivered",
                 "delivery_ratio", "mean_delay_ms", "deadline_miss_rate",
-                "loss_rate", "audits",
+                "loss_rate", "audits", "trace_digest",
             ],
         )
         w.writeheader()

@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import Sector, distance, sector_contains
 from .mac import (
     BackoffState,
     ControlMessage,
@@ -35,7 +34,7 @@ from .mac import (
     my_rp_slot,
 )
 from .routing import RouteConfig, discover
-from .topology import Network, StationKind
+from .topology import StationKind, attach_point
 from .traffic import (
     DropReason,
     Flow,
@@ -44,9 +43,6 @@ from .traffic import (
     PacketSource,
     establishment_priority,
 )
-
-SEMI_BONDED_GAP_FRAMES = 2
-
 
 # -- configuration ---------------------------------------------------------
 
@@ -84,17 +80,6 @@ class ChannelConfig:
     def __post_init__(self):
         if self.interference_multiplier < 1.0:
             raise ValueError("interference_multiplier must be >= 1")
-
-
-@dataclass(frozen=True)
-class SimClock:
-    """Position of one slot in absolute time."""
-
-    frame: int
-    phase: str  # "RP" or "CFP"
-    slot: int
-    start_ms: float
-    end_ms: float
 
 
 # -- channel model ----------------------------------------------------------
@@ -285,11 +270,8 @@ class Simulation:
         self.energy_costs: EnergyCosts = scenario.energy
         self.channel: ChannelConfig = scenario.channel
 
-        bases = [s.id for s in scenario.stations if s.kind is StationKind.BASE_STATION]
-        if len(bases) != 1:
-            raise ValueError("scenario must contain exactly one base station")
-        self.net = Network(scenario.stations, sink=bases[0], grid_spec=scenario.grid)
-        self.sink = bases[0]
+        self.net = scenario.build_network()
+        self.sink = self.net.sink
 
         self.ch_ids: list[int] = sorted(s.id for s in self.net.cluster_heads())
         self.ch_set = frozenset(self.ch_ids)
@@ -305,37 +287,13 @@ class Simulation:
             for sid in self.ch_ids
         }
 
+        # who decodes and who is disturbed, among the cluster heads
         mult = self.channel.interference_multiplier
-        self.rf_comm: dict[int, frozenset[int]] = {}
-        self.rf_intf: dict[int, frozenset[int]] = {}
-        self.fso_comm: dict[int, frozenset[int]] = {}
-        self.fso_intf: dict[int, frozenset[int]] = {}
-        for sid in self.ch_ids:
-            s = self.net.station(sid)
-            rc, ri, fc, fi = set(), set(), set(), set()
-            wide = Sector(
-                apex=s.sector.apex,
-                theta=s.sector.theta,
-                alpha=s.sector.alpha,
-                range=s.sector.range * mult,
-            )
-            for tid in self.ch_ids:
-                if tid == sid:
-                    continue
-                p = self.net.station(tid).position
-                d = distance(s.position, p)
-                if d <= s.rf_range:
-                    rc.add(tid)
-                if d <= s.rf_range * mult:
-                    ri.add(tid)
-                if sector_contains(s.sector, p):
-                    fc.add(tid)
-                if sector_contains(wide, p):
-                    fi.add(tid)
-            self.rf_comm[sid] = frozenset(rc)
-            self.rf_intf[sid] = frozenset(ri)
-            self.fso_comm[sid] = frozenset(fc)
-            self.fso_intf[sid] = frozenset(fi)
+        net, chs = self.net, self.ch_set
+        self.rf_comm = {sid: net.rf_reach(sid) & chs for sid in self.ch_ids}
+        self.rf_intf = {sid: net.rf_reach(sid, mult) & chs for sid in self.ch_ids}
+        self.fso_comm = {sid: net.beam(sid) & chs for sid in self.ch_ids}
+        self.fso_intf = {sid: net.beam(sid, mult) & chs for sid in self.ch_ids}
 
         self.sts: dict[int, _StationState] = {
             sid: _StationState(
@@ -373,15 +331,7 @@ class Simulation:
 
     def _plan_route(self, fr: _FlowRuntime) -> None:
         flow = fr.flow
-        src = self.net.station(flow.src)
-        origin = src.id
-        if src.kind is StationKind.SENSOR_NODE:
-            # sensors hand their data to the nearest cluster head
-            origin = min(
-                self.ch_ids,
-                key=lambda c: (distance(src.position, self.net.station(c).position), c),
-            )
-        fr.attach = origin
+        origin = fr.attach = attach_point(self.net, flow.src)
         if origin == flow.dst:
             fr.path = (origin,)
             fr.next_hop = {}
@@ -515,7 +465,7 @@ class Simulation:
     def _pick_action(self, sid: int, frame: int):
         """What, if anything, this station wants to signal in its slot.
 
-        Returns ("establish", flow, peer, kind, count, deadline) or
+        Returns ("establish", flow, peer, kind, count) or
         ("cancel", flow, peer, slots) or None. When several flows are
         ready the lowest (priority class, flow id) wins.
         """
@@ -538,15 +488,11 @@ class Simulation:
                 elif len(q) > 0:
                     bo = st.est_backoff.setdefault(fid, BackoffState())
                     if bo.eligible(frame):
-                        head = q.peek()
                         cands.append(
                             (
                                 establishment_priority(flow),
                                 fid,
-                                (
-                                    "establish", fid, peer,
-                                    ReservationKind.REAL_TIME, 1, head.deadline_ms,
-                                ),
+                                ("establish", fid, peer, ReservationKind.REAL_TIME, 1),
                             )
                         )
             else:
@@ -561,7 +507,7 @@ class Simulation:
                             (
                                 establishment_priority(flow),
                                 fid,
-                                ("establish", fid, peer, ReservationKind.DATAGRAM, count, None),
+                                ("establish", fid, peer, ReservationKind.DATAGRAM, count),
                             )
                         )
         if not cands:
@@ -649,13 +595,9 @@ class Simulation:
         for sid, act in proceed:
             st = self.sts[sid]
             if act[0] == "establish":
-                _, fid, peer, kind, count, deadline = act
-                flow = self.flows[fid].flow
+                _, fid, peer, kind, count = act
                 try:
-                    msg = st.mac.build_request(
-                        peer, kind, flow.packet_size_bits,
-                        deadline_ms=deadline, buffered_count=count,
-                    )
+                    msg = st.mac.build_request(peer, kind, buffered_count=count)
                 except NoFreeSlotsError:
                     self._emit(frame, r, "RP", sid, "no_free_slots", flow=fid)
                     self._register_failure(frame, r, sid, act, "no_free_slots")

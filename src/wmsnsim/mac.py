@@ -181,9 +181,7 @@ class ControlMessage:
     src: int
     dst: int | None
     peer: int | None = None
-    packet_length: int = 0
     free_mask: int = 0
-    deadline_ms: float | None = None
     buffered_count: int = 0
     slots: tuple[int, ...] = ()
     entry_kind: ReservationKind | None = None
@@ -259,8 +257,6 @@ class StationMac:
         self,
         peer: int,
         kind: ReservationKind,
-        packet_length: int,
-        deadline_ms: float | None = None,
         buffered_count: int = 0,
     ) -> ControlMessage:
         mask = self.rt.free_mask()
@@ -270,9 +266,7 @@ class StationMac:
             kind=MsgKind.CONNECT_REQUEST,
             src=self.owner,
             dst=peer,
-            packet_length=packet_length,
             free_mask=mask,
-            deadline_ms=deadline_ms,
             buffered_count=buffered_count,
             entry_kind=kind,
         )

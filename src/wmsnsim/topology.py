@@ -1,11 +1,18 @@
-"""Stations and the static network graph.
+"""Stations, the static network graph, and its link index.
 
 Cluster heads carry a directional optical transmitter (a sector) plus an
 omnidirectional photodetector and an omnidirectional radio, so optical
 links are directional and may be asymmetric while radio links are plain
 disk links. The base station is reached over dedicated optical uplinks
 and takes no part in radio contention. Sensor nodes are abstracted to
-traffic sources attached to their nearest cluster head.
+traffic sources attached to their nearest cluster head (attach_point).
+
+Positions never change, so `Network` answers every link question from
+one lazily filled index: `rf_reach` (who hears a station's radio),
+`beam` (whom a cluster head's laser hits) and `rf_hops` (radio hop
+counts over mutual range). Both reach relations take a `scale` that
+widens the range to an interference footprint. The helper functions
+below are reads of that index.
 """
 
 from __future__ import annotations
@@ -60,16 +67,9 @@ class Station:
                 raise ValueError(f"station {self.id}: sector apex off position")
 
 
-@dataclass(frozen=True)
-class NeighborTable:
-    station: int
-    fso: frozenset[int]
-    rf: frozenset[int]
-
-
 class Network:
-    """Immutable station set plus the grid layout. Positions never change
-    during a run, so neighborhoods are safe to precompute and cache."""
+    """Immutable station set plus the grid layout, and the link index:
+    neighborhoods are computed on first use and cached."""
 
     def __init__(self, stations, sink: int, grid_spec: GridSpec):
         by_id: dict[int, Station] = {}
@@ -87,6 +87,9 @@ class Network:
         self._stations = by_id
         self.sink = sink
         self.grid_spec = grid_spec
+        self._rf_reach: dict[tuple[int, float], frozenset[int]] = {}
+        self._beam: dict[tuple[int, float], frozenset[int]] = {}
+        self._rf_hops: dict[int, dict[int, int]] = {}
 
     def station(self, sid: int) -> Station:
         try:
@@ -108,21 +111,63 @@ class Network:
     def __contains__(self, sid: int) -> bool:
         return sid in self._stations
 
+    def rf_reach(self, x: int, scale: float = 1.0) -> frozenset[int]:
+        """Stations within scale * x's radio range, of any kind, x excluded.
+        Uses x's own range, so unequal ranges make this asymmetric."""
+        key = (x, scale)
+        heard = self._rf_reach.get(key)
+        if heard is None:
+            me = self.station(x)
+            limit = me.rf_range * scale
+            heard = self._rf_reach[key] = frozenset(
+                s.id
+                for s in self._stations.values()
+                if s.id != x and distance(me.position, s.position) <= limit
+            )
+        return heard
+
+    def beam(self, x: int, scale: float = 1.0) -> frozenset[int]:
+        """Stations inside cluster head x's sector with its reach scaled,
+        x excluded. Receive needs no aiming, so this is whom x's laser hits."""
+        key = (x, scale)
+        hit = self._beam.get(key)
+        if hit is None:
+            me = self.station(x)
+            if me.kind is not StationKind.CLUSTER_HEAD:
+                raise NotClusterHeadError(f"station {x} has no optical transmitter")
+            sector = replace(me.sector, range=me.sector.range * scale)
+            hit = self._beam[key] = frozenset(
+                s.id
+                for s in self._stations.values()
+                if s.id != x and sector_contains(sector, s.position)
+            )
+        return hit
+
+    def rf_hops(self, a: int) -> dict[int, int]:
+        """Radio hop count from a to every station it can reach, by one BFS.
+        An edge needs each endpoint inside the other's radio range. The
+        dict is the cached one: read it, never modify it."""
+        if a not in self._rf_hops:
+            seen = {a: 0}
+            queue = deque([a])
+            while queue:
+                cur = queue.popleft()
+                for nxt in self.rf_reach(cur):
+                    if nxt not in seen and cur in self.rf_reach(nxt):
+                        seen[nxt] = seen[cur] + 1
+                        queue.append(nxt)
+            self._rf_hops[a] = seen
+        return self._rf_hops[a]
+
 
 def rf_neighbors(net: Network, x: int) -> frozenset[int]:
-    """Stations inside x's radio range (x excluded). Uses the sender's own
-    range, so unequal ranges make this asymmetric."""
-    me = net.station(x)
-    return frozenset(
-        s.id
-        for s in net.stations()
-        if s.id != x and distance(me.position, s.position) <= me.rf_range
-    )
+    """Stations inside x's radio range (x excluded)."""
+    return net.rf_reach(x)
 
 
 def common_range(net: Network, x: int, y: int) -> frozenset[int]:
     """Stations audible to both x and y (neither endpoint included)."""
-    return (rf_neighbors(net, x) & rf_neighbors(net, y)) - {x, y}
+    return (net.rf_reach(x) & net.rf_reach(y)) - {x, y}
 
 
 def fso_can_transmit(net: Network, frm: int, to: int) -> bool:
@@ -132,27 +177,9 @@ def fso_can_transmit(net: Network, frm: int, to: int) -> bool:
     photodetectors are omnidirectional. Directionality makes this relation
     asymmetric in general.
     """
-    sender = net.station(frm)
-    target = net.station(to)
-    if sender.kind is not StationKind.CLUSTER_HEAD:
-        raise NotClusterHeadError(f"station {frm} has no optical transmitter")
-    if frm == to:
-        return False
-    return sector_contains(sender.sector, target.position)
-
-
-def discover_neighbors(net: Network, x: int) -> NeighborTable:
-    """Both neighbor sets of one station."""
-    me = net.station(x)
-    if me.kind is StationKind.CLUSTER_HEAD:
-        fso = frozenset(
-            s.id
-            for s in net.stations()
-            if s.id != x and sector_contains(me.sector, s.position)
-        )
-    else:
-        fso = frozenset()
-    return NeighborTable(station=x, fso=fso, rf=rf_neighbors(net, x))
+    hit = net.beam(frm)
+    net.station(to)  # an unknown target is an error, not a miss
+    return to in hit
 
 
 def rf_hop_distance(net: Network, a: int, b: int) -> int | None:
@@ -161,23 +188,16 @@ def rf_hop_distance(net: Network, a: int, b: int) -> int | None:
     if a == b:
         return 0
     net.station(a), net.station(b)
-    stations = net.stations()
-    adj: dict[int, list[int]] = {s.id: [] for s in stations}
-    for s in stations:
-        for t in stations:
-            if s.id < t.id:
-                d = distance(s.position, t.position)
-                if d <= s.rf_range and d <= t.rf_range:
-                    adj[s.id].append(t.id)
-                    adj[t.id].append(s.id)
-    seen = {a: 0}
-    queue = deque([a])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen[nxt] = seen[cur] + 1
-                if nxt == b:
-                    return seen[nxt]
-                queue.append(nxt)
-    return None
+    return net.rf_hops(a).get(b)
+
+
+def attach_point(net: Network, sid: int) -> int:
+    """The cluster head where station sid's traffic enters the mesh: sid
+    itself for a cluster head, otherwise the nearest one by (distance, id)."""
+    me = net.station(sid)
+    if me.kind is StationKind.CLUSTER_HEAD:
+        return sid
+    return min(
+        (c.id for c in net.cluster_heads()),
+        key=lambda c: (distance(me.position, net.station(c).position), c),
+    )

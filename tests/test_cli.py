@@ -7,7 +7,7 @@ import math
 import pytest
 
 import helpers
-from wmsnsim import trace_digest
+from wmsnsim import Simulation, from_dict, trace_digest
 from wmsnsim.cli import main
 
 
@@ -122,9 +122,12 @@ def test_sweep_writes_per_seed_and_summary(tmp_path, capsys):
     summary = read_csv(out / "sweep.csv")
     assert len(summary) == 3  # one flow, three seeds
     assert {r["seed"] for r in summary} == {"0", "1", "2"}
+    sc = from_dict(helpers.two_hop(horizon=40))
     for r in summary:
         assert r["audits"] == "pass"
         assert float(r["delivery_ratio"]) > 0.9
+        report, _ = Simulation(sc, int(r["seed"])).run()
+        assert r["trace_digest"] == report.trace_digest
 
 
 def test_sweep_exit_code_reflects_worst_seed(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """End-to-end engine behavior: channel resolution, scheduling, energy,
 faults, determinism."""
 
+import pickle
+
 import pytest
 
 import helpers
@@ -301,3 +303,27 @@ def test_simulation_runs_once():
     sim.run()
     with pytest.raises(RuntimeError):
         sim.run()
+
+
+def test_wide_interference_footprint_pins_its_digest():
+    # at multiplier 1.0 both runs give other digests: with rf 220 the wider
+    # laser footprints collide 28 data packets, and without slotting the
+    # wider radio footprints raise control collisions from 7 to 24
+    for rf, slotting, digest in (
+        (220.0, True, "11e0580e8d7148aa70fd5c2e4e46e99c5349263c73215142e675fb456ff49653"),
+        (150.0, False, "ad611d6c22049cc00bc04fa043990327a63b095bcb78934a952b0413c8f537fe"),
+    ):
+        data = helpers.grid(
+            4, flows=helpers.grid_flows(4, 3), horizon=40, slotting=slotting, rf=rf
+        )
+        data["channel"] = {"interference_multiplier": 1.5}
+        report, _ = run(data)
+        assert report.trace_digest == digest
+
+
+def test_pickled_simulation_runs_like_the_original():
+    data = helpers.grid(4, flows=helpers.grid_flows(4, 3), horizon=40, rf=220.0)
+    data["channel"] = {"interference_multiplier": 1.5}
+    sim = Simulation(from_dict(data), seed=2)
+    copy = pickle.loads(pickle.dumps(sim))
+    assert copy.run()[0].trace_digest == sim.run()[0].trace_digest

@@ -134,7 +134,7 @@ def play_handshake(cf_slots=6, kind=RT, buffered=1, frame=0):
     a = StationMac(owner=1, cf_slots=cf_slots)
     b = StationMac(owner=2, cf_slots=cf_slots)
     w = StationMac(owner=3, cf_slots=cf_slots)  # bystander
-    cr = a.build_request(2, kind, packet_length=1000, buffered_count=buffered)
+    cr = a.build_request(2, kind, buffered_count=buffered)
     answer = b.answer_request(cr, frame=frame)
     assert answer is not None
     ca, rx_entries = answer
@@ -164,7 +164,7 @@ def test_establishment_respects_busy_slots():
     b = StationMac(owner=2, cf_slots=4)
     a.rt.insert(entry(0, 9, 1))  # a is busy receiving in slot 0
     b.rt.insert(entry(1, 8, 2))  # b is busy in slot 1
-    cr = a.build_request(2, RT, packet_length=500)
+    cr = a.build_request(2, RT)
     ca, _ = b.answer_request(cr, frame=3)
     assert ca.slots == (2,)  # lowest common free slot
 
@@ -174,7 +174,7 @@ def test_answer_request_with_no_common_slot_is_silent():
     b = StationMac(owner=2, cf_slots=2)
     a.rt.insert(entry(0, 9, 1))
     b.rt.insert(entry(1, 8, 2))
-    cr = a.build_request(2, RT, packet_length=500)
+    cr = a.build_request(2, RT)
     assert b.answer_request(cr, frame=0) is None
     # and the failed answer reserved nothing
     assert b.rt.free_slots() == (0,)
@@ -184,7 +184,7 @@ def test_build_request_requires_a_free_slot():
     a = StationMac(owner=1, cf_slots=1)
     a.rt.insert(entry(0, 9, 1))
     with pytest.raises(NoFreeSlotsError):
-        a.build_request(2, RT, packet_length=100)
+        a.build_request(2, RT)
 
 
 def test_datagram_burst_grant_count():
@@ -202,7 +202,7 @@ def test_broadcast_displaces_stale_entry():
     b = StationMac(owner=2, cf_slots=4)
     a.rt.insert(entry(0, 9, 1))
     b.rt.insert(entry(0, 9, 2))
-    cr = a.build_request(2, RT, packet_length=100)
+    cr = a.build_request(2, RT)
     ca, _ = b.answer_request(cr, frame=5)
     srb, _ = a.commit_grant(ca, frame=5)
     assert srb.slots == (1,)
@@ -221,7 +221,7 @@ def test_broadcast_never_displaces_own_reservation():
     b = StationMac(owner=2, cf_slots=4)
     a.rt.insert(entry(0, 9, 1))
     b.rt.insert(entry(0, 9, 2))
-    cr = a.build_request(2, RT, packet_length=100)
+    cr = a.build_request(2, RT)
     ca, _ = b.answer_request(cr, frame=5)
     srb, _ = a.commit_grant(ca, frame=5)
     assert srb.slots == (1,)
@@ -330,7 +330,7 @@ def test_free_mask_conservation_under_protocol_play():
                 macs[other].apply_cancel(slots, tx=who, rx=peer)
                 continue
             try:
-                cr = macs[i].build_request(p, RT, packet_length=100)
+                cr = macs[i].build_request(p, RT)
             except NoFreeSlotsError:
                 continue
             ans = macs[p].answer_request(cr, frame=step)

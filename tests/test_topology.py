@@ -1,4 +1,5 @@
-"""Stations, network construction, and the two connectivity relations."""
+"""Stations, network construction, the link index, and the two
+connectivity relations."""
 
 import math
 import random
@@ -14,8 +15,8 @@ from wmsnsim import (
     Station,
     StationKind,
     UnknownStationError,
+    attach_point,
     common_range,
-    discover_neighbors,
     distance,
     fso_can_transmit,
     rf_hop_distance,
@@ -161,13 +162,61 @@ def test_fso_matches_sector_oracle_on_random_layouts():
                     assert fso_can_transmit(net, s.id, t.id) == want
 
 
-def test_discover_neighbors_structure():
-    net = small_net()
-    table = discover_neighbors(net, 0)
-    assert table.station == 0
-    assert set(table.rf) == {1, 5}
-    assert 1 in table.fso
-    assert 5 not in table.fso
+def test_link_index_matches_brute_force_geometry():
+    rng = random.Random(83)
+    for _ in range(40):
+        stations = [
+            make_ch(
+                i,
+                rng.uniform(0, 40),
+                rng.uniform(0, 40),
+                theta=rng.uniform(0, 2 * math.pi),
+                alpha=rng.uniform(0.3, 2 * math.pi),
+                reach=rng.uniform(5, 35),
+                rf=rng.uniform(4, 25),
+            )
+            for i in range(rng.randint(2, 6))
+        ]
+        stations += [
+            make_sensor(
+                10 + i, rng.uniform(0, 40), rng.uniform(0, 40), rf=rng.uniform(1, 15)
+            )
+            for i in range(rng.randint(1, 4))
+        ]
+        stations.append(make_bs(99, rng.uniform(0, 40), rng.uniform(0, 40)))
+        net = make_net(stations, sink=99)
+        for scale in (1.0, 1.5):
+            for s in stations:
+                heard, hit = set(), set()
+                for t in stations:
+                    if t.id == s.id:
+                        continue
+                    dx, dy = t.position.x - s.position.x, t.position.y - s.position.y
+                    if math.hypot(dx, dy) <= s.rf_range * scale:
+                        heard.add(t.id)
+                    if s.kind is StationKind.CLUSTER_HEAD:
+                        off = (math.atan2(dy, dx) - s.sector.theta) % (2 * math.pi)
+                        off = min(off, 2 * math.pi - off)
+                        if (
+                            math.hypot(dx, dy) <= s.sector.range * scale
+                            and off <= s.sector.alpha / 2 + 1e-9
+                        ):
+                            hit.add(t.id)
+                assert net.rf_reach(s.id, scale) == heard
+                if s.kind is StationKind.CLUSTER_HEAD:
+                    assert net.beam(s.id, scale) == hit
+                else:
+                    with pytest.raises(NotClusterHeadError):
+                        net.beam(s.id, scale)
+
+
+def test_attach_point_is_the_nearest_cluster_head_by_distance_then_id():
+    stations = [make_ch(3, 0, 0), make_ch(1, 20, 0), make_ch(2, 10, 30)]
+    stations += [make_sensor(5, 10, 0), make_sensor(6, 12, 0), make_bs(9, 50, 50)]
+    net = make_net(stations, sink=9)
+    assert attach_point(net, 2) == 2  # a cluster head is its own attach point
+    assert attach_point(net, 5) == 1  # equidistant from 3 and 1: lower id wins
+    assert attach_point(net, 6) == 1
 
 
 def test_rf_hop_distance_requires_mutual_range():
