@@ -8,6 +8,17 @@ and seed: per-station and per-flow RNG streams are derived from the
 seed by name, and every iteration over stations, flows, or table
 entries happens in sorted order.
 
+A run's work follows the protocol, not slots x stations. An RP slot
+asks only the cluster heads that own it whether to contend, and ends
+there when none does. A CF slot plays a slot -> [(station, own entry)]
+schedule that is rebuilt from the reservation tables only after one of
+them changed; it scans queues for missed deadlines only once the
+earliest queued deadline can have passed, and polls the optical uplink
+only at cluster heads that are some flow's last hop. Energy is counted
+as it is spent (sending, receiving, listening for a reserved packet);
+idle listening in the RP and sleep are booked in bulk at the end of the
+run. The frame boundary visits only tables that hold a datagram entry.
+
 The simulation emits a structured event trace. Post-run audits
 (see audit.py) replay that trace against the topology to check the
 protocol's correctness properties; the engine itself never consults
@@ -18,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +41,7 @@ from .mac import (
     MacConfig,
     MsgKind,
     NoFreeSlotsError,
+    ReservationEntry,
     ReservationKind,
     StationMac,
     my_rp_slot,
@@ -93,6 +106,7 @@ class Transmission:
     payload: object
     comm: frozenset[int]  # stations that can decode us
     interf: frozenset[int]  # stations whose reception we corrupt
+    to: int | None = None  # addressee of a data packet; None for control
 
 
 def resolve_slot(
@@ -108,17 +122,22 @@ def resolve_slot(
     stations hear nothing themselves.
 
     Returns (delivered, collisions): receiver id -> transmission, and
-    receiver id -> sorted sender ids that collided there.
+    receiver id -> sorted sender ids that collided there, both keyed in
+    ascending receiver order. The work is the senders' footprints, not
+    every listener.
     """
-    senders = {t.sender for t in transmissions}
     delivered: dict[int, Transmission] = {}
     collisions: dict[int, list[int]] = {}
-    for rho in sorted(listeners):
-        if rho in senders:
-            continue
-        touching = [t for t in transmissions if rho in t.interf]
-        if not touching:
-            continue
+    if not transmissions:
+        return delivered, collisions
+    senders = {t.sender for t in transmissions}
+    hits: dict[int, list[Transmission]] = {}
+    for t in transmissions:
+        for rho in t.interf:
+            if rho in listeners and rho not in senders:
+                hits.setdefault(rho, []).append(t)
+    for rho in sorted(hits):
+        touching = hits[rho]
         if len(touching) == 1:
             t = touching[0]
             if rho in t.comm:
@@ -132,7 +151,12 @@ def resolve_slot(
 
 
 class EnergyMeter:
-    """Slot-state tally per station."""
+    """Slot-state tally per station.
+
+    The engine counts the slots a station spends sending, receiving or
+    listening for a reserved packet as they happen, and books the idle
+    and sleeping rest of a run in bulk at its end.
+    """
 
     STATES = ("tx", "rx", "idle", "sleep")
 
@@ -140,8 +164,13 @@ class EnergyMeter:
         self.costs = costs
         self.counts = {sid: {s: 0 for s in self.STATES} for sid in ids}
 
-    def add(self, sid: int, state: str) -> None:
-        self.counts[sid][state] += 1
+    def add(self, sid: int, state: str, n: int = 1) -> None:
+        self.counts[sid][state] += n
+
+    def fill(self, sid: int, state: str, total: int) -> None:
+        """Book as `state` every one of `total` slots not counted yet."""
+        c = self.counts[sid]
+        c[state] += total - sum(c.values())
 
     def consumed(self, sid: int) -> float:
         c = self.counts[sid]
@@ -244,11 +273,13 @@ class SimReport:
     routes: dict[int, tuple[int, ...] | None]
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def serialize_trace(events: list[dict]) -> str:
     """Canonical JSONL form of a trace; digests are taken over this."""
-    return "".join(
-        json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in events
-    )
+    encode = _CANONICAL.encode
+    return "".join([encode(e) + "\n" for e in events])
 
 
 def trace_digest(events: list[dict]) -> str:
@@ -286,6 +317,11 @@ class Simulation:
             )
             for sid in self.ch_ids
         }
+        # the cluster heads that may initiate in each RP slot
+        self.rp_owners = [
+            [sid for sid in self.ch_ids if self.rp_slot_map[sid] == r]
+            for r in range(self.layout.rp_slots)
+        ]
 
         # who decodes and who is disturbed, among the cluster heads
         mult = self.channel.interference_multiplier
@@ -320,6 +356,28 @@ class Simulation:
                 st.flow_order.append(fid)
         for sid in self.ch_ids:
             self.sts[sid].flow_order.sort()
+
+        # every queue, in the order its deadline drops are reported, and a
+        # lower bound on the earliest deadline in any of them
+        self.queue_order: list[tuple[int, PacketQueue]] = []
+        for sid in self.ch_ids:
+            st = self.sts[sid]
+            self.queue_order += [(sid, st.queues[fid]) for fid in st.flow_order]
+            self.queue_order.append((sid, st.uplink))
+        self._next_due = math.inf
+        # the cluster heads that hand some flow's last hop to the uplink
+        to_sink = {
+            a
+            for fr in self.flows.values()
+            for a, b in fr.next_hop.items()
+            if self.net.station(b).kind is StationKind.BASE_STATION
+        }
+        self.uplink_ids = [sid for sid in self.ch_ids if sid in to_sink]
+
+        # built by _schedule(), dropped by every table change
+        self._cf_schedule: list[list[tuple[int, ReservationEntry]]] | None = None
+        self._datagram_tables: set[int] = set()  # stations holding a datagram entry
+        self._rp_busy = dict.fromkeys(self.ch_ids, 0)  # RP slots sent or received in
 
         self.trace: list[dict] = []
         self.control_collisions = 0
@@ -369,7 +427,14 @@ class Simulation:
             }
         )
 
+    # Every reservation-table change is reported through these two, so they
+    # also drop the cached CF schedule and note the tables with datagram
+    # entries for the frame boundary.
+
     def _emit_insert(self, frame, slot, phase, sid, e):
+        self._cf_schedule = None
+        if e.kind is ReservationKind.DATAGRAM:
+            self._datagram_tables.add(sid)
         self._emit(
             frame, slot, phase, sid, "rt_insert",
             slot_index=e.cf_slot, tx=e.tx, rx=e.rx, kind=e.kind,
@@ -377,6 +442,7 @@ class Simulation:
         )
 
     def _emit_delete(self, frame, slot, phase, sid, e, reason):
+        self._cf_schedule = None
         self._emit(
             frame, slot, phase, sid, "rt_delete",
             slot_index=e.cf_slot, tx=e.tx, rx=e.rx, kind=e.kind, reason=reason,
@@ -412,6 +478,7 @@ class Simulation:
             for s in range(self.layout.cf_slots):
                 self._cf_slot(frame, s)
             self._end_frame(frame)
+        self._fill_energy()
 
         return self._report(), self.trace
 
@@ -454,11 +521,13 @@ class Simulation:
         nxt = fr.next_hop[sid]
         st = self.sts[sid]
         if self.net.station(nxt).kind is StationKind.BASE_STATION:
-            ok = st.uplink.push(pkt)
+            q = st.uplink
         else:
-            ok = st.queues[fid].push(pkt)
-        if not ok:
+            q = st.queues[fid]
+        if not q.push(pkt):
             self._drop(frame, slot, phase, sid, pkt, "overflow")
+        elif q.next_deadline < self._next_due:
+            self._next_due = q.next_deadline
 
     # -- reservation period ------------------------------------------------------
 
@@ -554,12 +623,12 @@ class Simulation:
     def _rp_slot(self, frame: int, r: int) -> None:
         # 1) owners of this schedule slot decide whether to contend
         contenders = []
-        for sid in self.ch_ids:
-            if self.rp_slot_map[sid] != r:
-                continue
+        for sid in self.rp_owners[r]:
             act = self._pick_action(sid, frame)
             if act is not None:
                 contenders.append((sid, act))
+        if not contenders:
+            return  # a silent slot changes nothing; its idle listening is booked in bulk
 
         # 2) carrier sensing separates initiators inside one grid cell:
         # each draws a start offset, the unique earliest talks, later ones
@@ -711,73 +780,81 @@ class Simulation:
             reason = "no_accept" if act[0] == "establish" else "no_cancel_ack"
             self._register_failure(frame, r, sid, act, reason)
 
-        # every cluster head listens through the whole reservation period
-        for sid in self.ch_ids:
-            if sid in slot_tx:
-                self.meter.add(sid, "tx")
-            elif sid in slot_rx:
-                self.meter.add(sid, "rx")
-            else:
-                self.meter.add(sid, "idle")
-        self.meter.add(self.sink, "idle")
-        for sid in self.all_ids:
-            if self.net.station(sid).kind is StationKind.SENSOR_NODE:
-                self.meter.add(sid, "sleep")
+        # every cluster head listens through the whole reservation period;
+        # the slots it only idled in are booked at the end of the run
+        for sid in slot_tx | slot_rx:
+            self.meter.add(sid, "tx" if sid in slot_tx else "rx")
+            self._rp_busy[sid] += 1
 
     # -- contention-free period ----------------------------------------------
+
+    def _schedule(self) -> list[list[tuple[int, ReservationEntry]]]:
+        """CF slot -> [(station, its entry)] for every station that sends
+        or receives in that slot by its own table, in station order.
+        Tables change only in the RP and at the frame boundary, so this is
+        rebuilt at most once per frame."""
+        if self._cf_schedule is None:
+            sched = [[] for _ in range(self.layout.cf_slots)]
+            for sid in self.ch_ids:
+                for e in self.sts[sid].mac.rt.entries():
+                    if sid in (e.tx, e.rx):
+                        sched[e.cf_slot].append((sid, e))
+            self._cf_schedule = sched
+        return self._cf_schedule
 
     def _cf_slot(self, frame: int, s: int) -> None:
         slot_start = self.layout.cf_slot_start_ms(frame, s)
         slot_end = self.layout.cf_slot_end_ms(frame, s)
 
         # deadlines are checked against the slot's end: a packet that
-        # cannot complete its transmission in time is dropped, never sent
-        for sid in self.ch_ids:
-            st = self.sts[sid]
-            for fid in st.flow_order:
-                for pkt in st.queues[fid].expire(slot_end):
-                    self._drop(frame, s, "CFP", sid, pkt, "deadline")
-            for pkt in st.uplink.expire(slot_end):
-                self._drop(frame, s, "CFP", sid, pkt, "deadline")
+        # cannot complete its transmission in time is dropped, never sent.
+        # The queues are scanned only once some deadline can have passed.
+        if slot_end > self._next_due:
+            due = math.inf
+            for sid, q in self.queue_order:
+                if slot_end > q.next_deadline:
+                    for pkt in q.expire(slot_end):
+                        self._drop(frame, s, "CFP", sid, pkt, "deadline")
+                due = min(due, q.next_deadline)
+            self._next_due = due
 
         channel: list[Transmission] = []
         slot_tx: set[int] = set()
         listeners: set[int] = set()
-        for sid in self.ch_ids:
-            st = self.sts[sid]
-            e = st.mac.rt.get(s)
-            if e is None:
-                continue
-            if e.tx == sid:
-                fid = st.bindings.get(s)
-                pkt = None
-                if fid is not None and fid in st.queues:
-                    pkt = st.queues[fid].head_ready(slot_start)
-                if pkt is None:
-                    self.wasted_slots += 1
-                    self._emit(
-                        frame, s, "CFP", sid, "wasted_slot",
-                        flow=-1 if fid is None else fid,
-                    )
-                    continue
-                st.queues[fid].pop()
-                slot_tx.add(sid)
-                channel.append(
-                    Transmission(
-                        sender=sid, payload=(fid, pkt),
-                        comm=self.fso_comm[sid], interf=self.fso_intf[sid],
-                    )
-                )
-                self._emit(
-                    frame, s, "CFP", sid, "data_tx", flow=fid, seq=pkt.seq, to=e.rx
-                )
-            elif e.rx == sid:
+        for sid, e in self._schedule()[s]:
+            if e.rx == sid:
                 listeners.add(sid)
+                continue
+            st = self.sts[sid]
+            fid = st.bindings.get(s)
+            pkt = None
+            if fid is not None and fid in st.queues:
+                pkt = st.queues[fid].head_ready(slot_start)
+            if pkt is None:
+                self.wasted_slots += 1
+                self._emit(
+                    frame, s, "CFP", sid, "wasted_slot",
+                    flow=-1 if fid is None else fid,
+                )
+                continue
+            st.queues[fid].pop()
+            slot_tx.add(sid)
+            channel.append(
+                Transmission(
+                    sender=sid, payload=(fid, pkt),
+                    comm=self.fso_comm[sid], interf=self.fso_intf[sid], to=e.rx,
+                )
+            )
+            self._emit(
+                frame, s, "CFP", sid, "data_tx", flow=fid, seq=pkt.seq, to=e.rx
+            )
 
         delivered, collisions = resolve_slot(channel, listeners)
         for rho in sorted(collisions):
             self.data_collisions += 1
             self._emit(frame, s, "CFP", rho, "data_collision", senders=collisions[rho])
+        # a lone packet addressed to another station is noise at a listener
+        delivered = {rho: t for rho, t in delivered.items() if t.to == rho}
 
         got: set[tuple[int, int]] = set()
         for rho in sorted(delivered):
@@ -804,8 +881,7 @@ class Simulation:
         # cluster heads with nothing scheduled serve their polled optical
         # uplink: one buffered packet straight up per otherwise idle slot
         uplink_tx: set[int] = set()
-        sink_got = False
-        for sid in self.ch_ids:
+        for sid in self.uplink_ids:
             if sid in slot_tx or sid in listeners:
                 continue
             st = self.sts[sid]
@@ -815,33 +891,27 @@ class Simulation:
             st.uplink.pop()
             pkt.delivered_ms = slot_end
             uplink_tx.add(sid)
-            sink_got = True
             self._emit(frame, s, "CFP", sid, "uplink_tx", flow=pkt.flow_id, seq=pkt.seq)
             self._emit(
                 frame, s, "CFP", self.sink, "data_delivered",
                 flow=pkt.flow_id, seq=pkt.seq, delay_ms=round(pkt.delay_ms, 6),
             )
 
-        for sid in self.ch_ids:
-            if sid in slot_tx or sid in uplink_tx:
-                self.meter.add(sid, "tx")
-            elif sid in delivered:
-                self.meter.add(sid, "rx")
-            elif sid in listeners:
-                self.meter.add(sid, "idle")
-            else:
-                self.meter.add(sid, "sleep")
-        self.meter.add(self.sink, "rx" if sink_got else "sleep")
-        for sid in self.all_ids:
-            if self.net.station(sid).kind is StationKind.SENSOR_NODE:
-                self.meter.add(sid, "sleep")
+        # stations with no part in the slot sleep; that is booked at the
+        # end of the run
+        for sid in slot_tx | uplink_tx:
+            self.meter.add(sid, "tx")
+        for sid in listeners:
+            self.meter.add(sid, "rx" if sid in delivered else "idle")
+        if uplink_tx:
+            self.meter.add(self.sink, "rx")
 
     # -- frame boundary ---------------------------------------------------------
 
     def _end_frame(self, frame: int) -> None:
         last = self.layout.cf_slots - 1
         self._emit(frame, last, "CFP", -1, "frame_end")
-        for sid in self.ch_ids:
+        for sid in sorted(self._datagram_tables):
             st = self.sts[sid]
             for e in st.mac.end_of_frame_cleanup(frame):
                 self._emit_delete(frame, last, "CFP", sid, e, "expire")
@@ -854,6 +924,7 @@ class Simulation:
                         st.flow_slots[fid] = left
                     else:
                         st.flow_slots.pop(fid, None)
+        self._datagram_tables.clear()
 
         # session continuity: a real-time hop that once held slots but now
         # has traffic and no reservation is starving
@@ -870,6 +941,20 @@ class Simulation:
                     fr.max_gap[sid] = max(fr.max_gap.get(sid, 0), fr.gap[sid])
                 else:
                     fr.gap[sid] = 0
+
+    def _fill_energy(self) -> None:
+        """Book the slots no phase counted. A cluster head idles through
+        the RP slots it neither sent nor received in and sleeps through
+        the CF slots it had no part in; the sink idles through the RP and
+        sleeps through the CF slots it received nothing in; sensor nodes
+        sleep throughout."""
+        rp = self.horizon * self.layout.rp_slots
+        for sid in self.ch_ids:
+            self.meter.add(sid, "idle", rp - self._rp_busy[sid])
+        self.meter.add(self.sink, "idle", rp)
+        total = self.horizon * self.layout.total_slots
+        for sid in self.all_ids:
+            self.meter.fill(sid, "sleep", total)
 
     # -- results ------------------------------------------------------------------
 

@@ -8,6 +8,7 @@ burst threshold is reached and shipped on per-frame reservations.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -203,11 +204,19 @@ class PacketSource:
 
 
 class PacketQueue:
-    """Bounded FIFO for one flow's packets held at one station."""
+    """Bounded FIFO for one flow's packets held at one station.
+
+    `next_deadline` is a lower bound on the earliest deadline queued
+    (infinity when no queued packet has one): a push lowers it, a pop
+    leaves it, and a scan in `expire` makes it exact again. So while
+    `now_ms <= next_deadline` no packet can have expired, whatever the
+    mix of deadlines in the queue.
+    """
 
     def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY):
         self.capacity = capacity
         self._q: deque[PacketRecord] = deque()
+        self.next_deadline = math.inf
 
     def __len__(self) -> int:
         return len(self._q)
@@ -218,6 +227,8 @@ class PacketQueue:
             pkt.dropped = DropReason.OVERFLOW
             return False
         self._q.append(pkt)
+        if pkt.deadline_ms is not None and pkt.deadline_ms < self.next_deadline:
+            self.next_deadline = pkt.deadline_ms
         return True
 
     def peek(self) -> PacketRecord | None:
@@ -234,16 +245,23 @@ class PacketQueue:
         return self._q.popleft()
 
     def expire(self, now_ms: float) -> list[PacketRecord]:
-        """Drop every queued packet whose deadline precedes `now_ms`. Run
-        with the end time of the slot about to transmit, which guarantees
-        nothing is ever delivered past its bound."""
+        """Drop every queued packet whose deadline precedes `now_ms`, in
+        queue order. Run with the end time of the slot about to transmit,
+        which guarantees nothing is ever delivered past its bound."""
+        if now_ms <= self.next_deadline:
+            return []
         dropped = []
         keep = deque()
+        due = math.inf
         for pkt in self._q:
-            if pkt.deadline_ms is not None and pkt.deadline_ms < now_ms:
+            d = pkt.deadline_ms
+            if d is not None and d < now_ms:
                 pkt.dropped = DropReason.DEADLINE_MISS
                 dropped.append(pkt)
             else:
                 keep.append(pkt)
+                if d is not None and d < due:
+                    due = d
         self._q = keep
+        self.next_deadline = due
         return dropped

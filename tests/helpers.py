@@ -23,6 +23,10 @@ def bs(i, x, y):
     return {"id": i, "kind": "base_station", "position": [x, y], "rf_range": 0.0}
 
 
+def sensor(i, x, y):
+    return {"id": i, "kind": "sensor_node", "position": [x, y], "rf_range": 0.0}
+
+
 def flow(i, src, dst, cls="CBR", mode="bonded", rate=64000, size=1000, **kw):
     d = {
         "id": i, "src": src, "dst": dst, "class": cls, "mode": mode,
@@ -66,7 +70,7 @@ def mixed_traffic(horizon=120):
     return base(stations, flows, horizon=horizon)
 
 
-def grid(n=5, flows=(), horizon=200, slotting=True, faults=(), rf=150.0):
+def grid(n=5, flows=(), horizon=200, slotting=True, faults=(), rf=150.0, reach=150.0):
     """n x n cluster heads at cell centers, base station east of the
     middle row. Station id is n*gy + gx; the base station is id 100.
 
@@ -75,7 +79,7 @@ def grid(n=5, flows=(), horizon=200, slotting=True, faults=(), rf=150.0):
     compliant slotting cannot produce control collisions here.
     """
     stations = [
-        ch(n * gy + gx, 50.0 + 100.0 * gx, 50.0 + 100.0 * gy, rf=rf)
+        ch(n * gy + gx, 50.0 + 100.0 * gx, 50.0 + 100.0 * gy, rf=rf, reach=reach)
         for gy in range(n)
         for gx in range(n)
     ]
@@ -122,3 +126,31 @@ def contention(horizon=50):
     ]
     flows = [flow(1, 1, 9), flow(2, 2, 9)]
     return base(stations, flows, horizon=horizon)
+
+
+def churn(horizon=80):
+    """Cluster heads 1-4 on a line toward base station 9, head 5 in head
+    1's grid cell, sensors 20 and 21: every class at once. Datagram
+    bursts reserve and expire every frame, same-cell contention and a
+    lost CA force backoff, the CBR flow out of head 1 stops and its
+    cancel is lost once, sensor 20's rtVBR flow overloads its slot and
+    misses deadlines, and the last hop is the polled uplink."""
+    stations = [ch(i, 50.0 + 100.0 * (i - 1), 50.0, rf=200.0) for i in range(1, 5)]
+    stations += [
+        ch(5, 80.0, 60.0, rf=200.0),
+        sensor(20, 40.0, 80.0),
+        sensor(21, 160.0, 20.0),
+        bs(9, 450.0, 50.0),
+    ]
+    flows = [
+        flow(1, 1, 9, stop_frame=40),
+        flow(2, 20, 9, cls="rtVBR", rate=400000, size=2000),
+        flow(3, 5, 9, cls="ABR", mode="none", rate=1_000_000, size=2000, burst_length=4),
+        flow(4, 21, 9, cls="UBR", mode="none", rate=1_000_000, size=2000, burst_length=3),
+        flow(5, 2, 9, mode="semi_bonded", start_frame=10, stop_frame=50),
+    ]
+    faults = [
+        {"kind": "CA", "frame": 3, "sender": 2},
+        {"kind": "CC", "frame": 42, "sender": 1},
+    ]
+    return base(stations, flows, horizon=horizon, faults=faults)

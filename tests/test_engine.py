@@ -1,7 +1,9 @@
 """End-to-end engine behavior: channel resolution, scheduling, energy,
 faults, determinism."""
 
+import json
 import pickle
+import random
 
 import pytest
 
@@ -77,6 +79,47 @@ def test_resolve_slot_transmitters_hear_nothing():
     assert 10 not in delivered and 10 not in collisions
 
 
+def scan_resolve(transmissions, listeners):
+    """resolve_slot as it was written before it walked the senders'
+    footprints: every listener against every transmission."""
+    senders = {t.sender for t in transmissions}
+    delivered, collisions = {}, {}
+    for rho in sorted(listeners):
+        if rho in senders:
+            continue
+        touching = [t for t in transmissions if rho in t.interf]
+        if not touching:
+            continue
+        if len(touching) == 1:
+            if rho in touching[0].comm:
+                delivered[rho] = touching[0]
+        else:
+            collisions[rho] = sorted(t.sender for t in touching)
+    return delivered, collisions
+
+
+def test_resolve_slot_matches_the_listener_scan():
+    rng = random.Random(11)
+    deaf_senders = 0
+    for case in range(600):
+        ids = range(rng.randint(1, 12))
+        txs = []
+        for sender in rng.sample(ids, rng.randint(0, min(4, len(ids)))):
+            interf = {x for x in ids if rng.random() < 0.5}
+            comm = {x for x in ids if x in interf or rng.random() < 0.1}
+            txs.append(tx(sender, comm, interf, payload=case))
+        listeners = {x for x in ids if rng.random() < 0.6}
+        got, want = resolve_slot(txs, listeners), scan_resolve(txs, listeners)
+        # same entries, keyed in the same ascending order
+        assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+        deaf_senders += any(
+            t.sender in listeners and t.sender in u.interf for t in txs for u in txs
+        )
+    assert deaf_senders > 100  # transmitters in the listener set are covered
+    assert resolve_slot([], {1, 2}) == ({}, {})
+    assert resolve_slot([tx(1, {2}, {2})], set()) == ({}, {})
+
+
 def test_energy_meter_accounting():
     m = EnergyMeter([1, 2], EnergyCosts())
     for _ in range(3):
@@ -86,6 +129,10 @@ def test_energy_meter_accounting():
     assert m.consumed(1) == pytest.approx(3 * 1.0 + 0.01)
     assert m.consumed(2) == pytest.approx(0.5)
     assert m.duty_cycle(1) == pytest.approx(3 / 4)
+    # a bulk booking fills what is not counted yet
+    m.add(2, "rx", 2)
+    m.fill(2, "sleep", 10)
+    assert m.counts[2] == {"tx": 0, "rx": 2, "idle": 1, "sleep": 7}
 
 
 def test_two_hop_flow_delivers_inside_deadline():
@@ -327,3 +374,126 @@ def test_pickled_simulation_runs_like_the_original():
     sim = Simulation(from_dict(data), seed=2)
     copy = pickle.loads(pickle.dumps(sim))
     assert copy.run()[0].trace_digest == sim.run()[0].trace_digest
+
+
+class ScheduleChecked(Simulation):
+    """Checks the cached CF schedule against every table before each CF
+    slot is played."""
+
+    slots_checked = 0
+
+    def _cf_slot(self, frame, s):
+        want = []
+        for sid in self.ch_ids:
+            e = self.sts[sid].mac.rt.get(s)
+            if e is not None and sid in (e.tx, e.rx):
+                want.append((sid, e))
+        assert self._schedule()[s] == want, (frame, s)
+        self.slots_checked += 1
+        super()._cf_slot(frame, s)
+
+
+@pytest.mark.parametrize(
+    "data, inserts",
+    [
+        # tables change all through the run: bursts, expiry, a cancel
+        (helpers.churn(), 4000),
+        # a cancel is the only change of its frame
+        (helpers.two_hop(horizon=30, stop_frame=18), 2),
+    ],
+)
+def test_cached_cf_schedule_matches_every_table_at_every_cf_slot(data, inserts):
+    sc = from_dict(data)
+    sim = ScheduleChecked(sc, seed=0)
+    report, trace = sim.run()
+    assert sim.slots_checked == sc.horizon_frames * 20
+    assert len(events(trace, "rt_insert")) >= inserts
+    assert events(trace, "cancel_complete")
+    assert report.trace_digest == Simulation(sc, seed=0).run()[0].trace_digest
+
+
+@pytest.mark.parametrize(
+    "n, reach, seed, delivered, generated",
+    [(6, 150.0, 0, 572, 708), (8, 160.0, 1, 552, 944)],
+)
+def test_a_foreign_data_packet_is_noise_at_a_listener(n, reach, seed, delivered, generated):
+    # with rf 150 a beam reaches listeners it does not address; such a
+    # packet once reached _forward at a station off its path and raised
+    # KeyError (14 on grid-6, 10 on grid-8)
+    data = helpers.grid(
+        n, flows=helpers.grid_flows(n, n), horizon=150, rf=150.0, reach=reach
+    )
+    report, trace = run(data, seed=seed)
+    to = {
+        (e["frame"], e["slot"], e["station"]): e["detail"]["to"]
+        for e in events(trace, "data_tx")
+    }
+    for e in events(trace, "data_rx"):
+        assert e["station"] == to[e["frame"], e["slot"], e["detail"]["sender"]]
+    got = [(e["detail"]["flow"], e["detail"]["seq"]) for e in events(trace, "data_delivered")]
+    assert len(got) == len(set(got))
+    assert sum(fs.delivered for fs in report.flows.values()) == delivered
+    assert sum(fs.generated for fs in report.flows.values()) == generated
+
+
+def slot_counts(report):
+    return {
+        sid: (st.tx_slots, st.rx_slots, st.idle_slots, st.sleep_slots)
+        for sid, st in report.stations.items()
+    }
+
+
+def test_short_grid6_cbr_run_pins_its_digest_and_slot_counts():
+    # the bench grid6-cbr layout for 60 frames; the digest and counts were
+    # taken before the frame loop went per reservation
+    data = helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=60, rf=200.0)
+    report, _ = run(data)
+    assert report.trace_digest == (
+        "5d9cfc3019ad1e18be50ebcd92bb524de5c163610d0f5763d68ddd166b85872e"
+    )
+    assert slot_counts(report) == {
+        0: (48, 5, 654, 1153), 1: (98, 102, 674, 986), 2: (0, 14, 646, 1200),
+        3: (0, 14, 646, 1200), 4: (0, 5, 655, 1200), 5: (0, 1, 659, 1200),
+        6: (48, 11, 648, 1153), 7: (49, 61, 657, 1093), 8: (194, 200, 687, 779),
+        9: (48, 62, 654, 1096), 10: (0, 20, 640, 1200), 11: (0, 9, 651, 1200),
+        12: (48, 8, 651, 1153), 13: (49, 66, 652, 1093), 14: (48, 67, 650, 1095),
+        15: (141, 159, 663, 897), 16: (93, 106, 663, 998), 17: (46, 59, 656, 1099),
+        18: (48, 8, 651, 1153), 19: (49, 56, 662, 1093), 20: (48, 69, 648, 1095),
+        21: (48, 65, 651, 1096), 22: (183, 190, 683, 804), 23: (224, 227, 698, 711),
+        24: (48, 5, 654, 1153), 25: (49, 53, 665, 1093), 26: (0, 8, 652, 1200),
+        27: (47, 60, 656, 1097), 28: (0, 14, 646, 1200), 29: (0, 11, 649, 1200),
+        30: (48, 3, 656, 1153), 31: (0, 4, 656, 1200), 32: (0, 4, 656, 1200),
+        33: (0, 4, 656, 1200), 34: (0, 9, 651, 1200), 35: (0, 5, 655, 1200),
+        100: (0, 264, 660, 936),
+    }
+
+
+def test_mixed_run_pins_its_digest_and_slot_counts():
+    # taken before the frame loop went per reservation, like the grid pin
+    report, trace = run(helpers.churn())
+    assert report.trace_digest == (
+        "67b6746460916ebe6c3837a2945405b2becc10be441f84e02a2901cb47c0b080"
+    )
+    assert slot_counts(report) == {
+        1: (116, 231, 644, 1489), 2: (577, 477, 678, 748), 3: (530, 497, 754, 699),
+        4: (449, 527, 794, 710), 5: (362, 161, 645, 1312), 9: (0, 371, 880, 1229),
+        20: (0, 0, 0, 2480), 21: (0, 0, 0, 2480),
+    }
+    # what the run is meant to cover
+    reasons = {e["detail"]["reason"] for e in events(trace, "packet_drop")}
+    assert {"deadline", "overflow"} <= reasons
+    assert {e["detail"]["reason"] for e in events(trace, "backoff")} == {
+        "busy", "no_accept", "no_cancel_ack"
+    }
+    assert events(trace, "cancel_complete") and events(trace, "uplink_tx")
+    # sensors 20 and 21 attach at their nearest cluster heads
+    assert report.routes[2][0] == 1 and report.routes[4][0] == 2
+
+
+def test_serialize_trace_is_one_canonical_json_line_per_event():
+    _, trace = run(helpers.churn(horizon=20))
+    want = "".join(
+        json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in trace
+    )
+    assert serialize_trace(trace) == want
+    assert serialize_trace([]) == ""

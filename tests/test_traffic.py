@@ -1,5 +1,6 @@
 """Service classes, arrival processes, and the per-hop packet queue."""
 
+import math
 import random
 
 import pytest
@@ -174,6 +175,46 @@ def test_queue_expire_drops_past_deadlines():
     # a deadline exactly at the slot end still makes it
     assert len(q) == 2
     assert live.dropped is None and boundary.dropped is None
+
+
+def test_queue_expire_matches_a_full_scan():
+    # a mixed-class queue, like a station's uplink: deadlines 60 or 90 ms
+    # after creation, or none, so they are not in queue order; times on a
+    # 0.5 ms grid so a deadline often equals the expiry time exactly
+    rng = random.Random(3)
+    scans = 0
+    for _ in range(200):
+        q = PacketQueue(capacity=rng.randint(1, 12))
+        model: list[PacketRecord] = []
+        now = 0.0
+        for seq in range(80):
+            op = rng.random()
+            if op < 0.5:
+                bound = rng.choice([60.0, 90.0, None])
+                pkt = PacketRecord(1, seq, now, None if bound is None else now + bound, 100)
+                room = len(model) < q.capacity
+                assert q.push(pkt) is room
+                if room:
+                    model.append(pkt)
+            elif op < 0.7:
+                if model:
+                    assert q.pop() is model.pop(0)
+            else:
+                want = [p for p in model if p.deadline_ms is not None and p.deadline_ms < now]
+                scans += bool(want)
+                scanned = now > q.next_deadline
+                got = q.expire(now)
+                assert [id(p) for p in got] == [id(p) for p in want]
+                assert all(p.dropped is DropReason.DEADLINE_MISS for p in got)
+                model = [p for p in model if all(p is not d for d in want)]
+            live = [p.deadline_ms for p in model if p.deadline_ms is not None]
+            if op >= 0.7 and scanned:  # a scan leaves the bound exact
+                assert q.next_deadline == min(live, default=math.inf)
+            assert q.next_deadline <= min(live, default=math.inf)
+            assert len(q) == len(model)
+            now += rng.choice([0.0, 0.5, 5.0, 20.0])
+        assert [id(q.pop()) for _ in range(len(q))] == [id(p) for p in model]
+    assert scans > 100  # the sequences really drop packets
 
 
 def test_packet_delay_property():
