@@ -1,6 +1,7 @@
 """Command line entry points: run, route, sweep, validate."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -42,12 +43,15 @@ def test_run_writes_metrics_and_trace(tmp_path, capsys):
     assert float(flow_rows[0]["delivery_ratio"]) > 0.9
     assert {r["station_id"] for r in station_rows} == {"1", "2", "9"}
 
-    # the written trace digests to the value the report printed
+    # the written trace digests to the value the report printed, both
+    # as bytes and as parsed events
+    digest = printed.split("trace digest: ")[1].split()[0]
+    assert hashlib.sha256((out / "trace.jsonl").read_bytes()).hexdigest() == digest
     events = [
         json.loads(line)
         for line in (out / "trace.jsonl").read_text().splitlines()
     ]
-    assert trace_digest(events) in printed
+    assert trace_digest(events) == digest
 
 
 def test_run_exit_code_reflects_headline_audits(tmp_path):

@@ -1,9 +1,11 @@
 """End-to-end engine behavior: channel resolution, scheduling, energy,
 faults, determinism."""
 
+import hashlib
 import json
 import pickle
 import random
+from enum import Enum
 
 import pytest
 
@@ -490,10 +492,83 @@ def test_mixed_run_pins_its_digest_and_slot_counts():
     assert report.routes[2][0] == 1 and report.routes[4][0] == 2
 
 
-def test_serialize_trace_is_one_canonical_json_line_per_event():
-    _, trace = run(helpers.churn(horizon=20))
-    want = "".join(
-        json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in trace
+def canonical(events):
+    return "".join(
+        json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in events
     )
-    assert serialize_trace(trace) == want
+
+
+def synthetic_events(n, seed=0):
+    """n seeded trace-shaped events whose details hold what JSON must
+    escape or format with care, plus two dicts that are not envelopes."""
+    rng = random.Random(seed)
+    texts = ["", "plain", 'quo"te', "back\\slash", "new\nline", "tab\t\x00\x1f",
+             "caf\u00e9", "\u6e2c\u8a66", "\U0001f4e1", "\u2028"]
+    scalars = [True, False, None, 0, -1, 2**63, 0.1, 1e-7, 1e16, -0.0, 3.25,
+               float("inf")]
+
+    def value(depth):
+        pick = rng.randrange(4 if depth < 2 else 2)
+        if pick == 0:
+            return rng.choice(texts)
+        if pick == 1:
+            return rng.choice(scalars)
+        if pick == 2:
+            return [value(depth + 1) for _ in range(rng.randrange(4))]
+        return {rng.choice(texts): value(depth + 1) for _ in range(rng.randrange(3))}
+
+    events = [
+        {
+            "station": rng.randrange(-1, 200),
+            "detail": {rng.choice(texts): value(0) for _ in range(rng.randrange(5))},
+            "event": rng.choice(texts),
+            "slot": rng.randrange(20),
+            "phase": rng.choice(["RP", "CFP"]),
+            "frame": rng.randrange(10**6),
+        }
+        for _ in range(n)
+    ]
+    events[0]["detail"] = {}
+    events.append({"frame": 1, "detail": {"x": 1}})
+    events.append(dict(events[1], extra=[1.5, "\\"]))
+    return events
+
+
+def test_serialize_trace_is_one_canonical_json_line_per_event():
+    _, churn = run(helpers.churn())
+    _, grid = run(helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=60, rf=200.0))
+    made = synthetic_events(200)
+    for trace in (churn, grid, made):
+        assert serialize_trace(trace) == canonical(trace)
     assert serialize_trace([]) == ""
+    for trace in ([], made[:1], made):
+        want = hashlib.sha256(serialize_trace(trace).encode("utf-8")).hexdigest()
+        assert trace_digest(trace) == want
+
+
+def test_a_failed_serialization_leaves_the_next_one_canonical():
+    detail = {"x": [object()]}
+    event = {"frame": 0, "slot": 0, "phase": "RP", "station": 1, "event": "e", "detail": detail}
+    with pytest.raises(TypeError):
+        serialize_trace([event])
+    detail["x"] = [1]
+    assert serialize_trace([event]) == canonical([event])
+
+
+def test_engine_events_are_json_ready_and_unshared():
+    report, trace = run(helpers.churn())
+    lines = serialize_trace(trace).split("\n")
+    assert lines.pop() == "" and len(lines) == len(trace)
+    lists = set()
+    for e, line in zip(trace, lines):
+        assert json.loads(line) == e
+        stack = list(e["detail"].values())
+        while stack:
+            v = stack.pop()
+            assert not isinstance(v, (Enum, tuple)), e
+            if isinstance(v, list):
+                assert id(v) not in lists, e  # one list in two events
+                lists.add(id(v))
+                stack.extend(v)
+    # a list the engine changed after emitting it would move the digest
+    assert report.trace_digest == trace_digest(trace)
