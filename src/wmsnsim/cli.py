@@ -25,7 +25,7 @@ import os
 import sys
 
 from .audit import AuditReport, run_audits
-from .engine import SimReport, Simulation, _trace_lines
+from .engine import SimReport, Simulation, _canonical
 from .routing import ProgressMode, collect_paths, score_path
 from .scenario import Scenario, ScenarioError, from_dict
 from .topology import attach_point
@@ -162,8 +162,8 @@ def _run_once(sc: Scenario, seed: int, out_dir: str, want_trace: bool):
     os.makedirs(out_dir, exist_ok=True)
     _write_metrics(os.path.join(out_dir, "metrics.csv"), report)
     if want_trace:
-        with open(os.path.join(out_dir, "trace.jsonl"), "w", encoding="utf-8") as fh:
-            fh.writelines(_trace_lines(trace))
+        with open(os.path.join(out_dir, "trace.jsonl"), "wb") as fh:
+            fh.write(_canonical(trace))
     return report, audit
 
 

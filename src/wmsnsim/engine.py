@@ -33,6 +33,11 @@ backslash, \\b \\f \\n \\r \\t escaped short, every other control or
 non-ASCII character as \\uXXXX).
 serialize_trace joins those lines, and trace_digest is the SHA-256 of
 their UTF-8 bytes, which a written trace.jsonl holds byte for byte.
+
+A run's trace is serialised once. Simulation.trace is a Trace, a list
+that also keeps its canonical bytes: the digest run() takes makes them,
+and serialize_trace, trace_digest and `wmsnsim run --trace` reuse them
+for as long as no event has been appended.
 """
 
 from __future__ import annotations
@@ -322,25 +327,60 @@ def _trace_lines(events):
         raise
 
 
-def serialize_trace(events: list[dict]) -> str:
-    """Canonical JSONL form of a trace; digests are taken over this.
+class Trace(list):
+    """A run's events, plus the canonical text of its first `sealed` ones.
+
+    Simulation only appends to its trace and never changes an event after
+    emitting it, so the text stays valid while len(trace) == sealed. The
+    first serialisation, the digest run() takes, keeps the UTF-8 bytes;
+    serialize_trace swaps them for the str it returns, so the text is
+    held once. A list that is changed in place other than by appending
+    must not be a Trace."""
+
+    sealed = 0
+    _text: bytearray | str | None = None
+
+
+def _held(events) -> bytearray | str | None:
+    """The text a Trace keeps for exactly its events, if any."""
+    if isinstance(events, Trace) and events.sealed == len(events):
+        return events._text
+    return None
+
+
+def _canonical(events) -> bytearray | bytes:
+    """The UTF-8 bytes of serialize_trace(events), made through
+    _trace_lines once per Trace (see Trace) and per call otherwise. A
+    Trace's kept buffer itself is returned, so callers only read it.
 
     The lines are gathered as bytes, which hold a trace once instead of
     as one str object per event: about 12 MB less peak memory than
     joining a list of lines on a 194 k-event trace."""
-    buf = bytearray()
-    for line in _trace_lines(events):
-        buf += line.encode()
-    return buf.decode()
+    text = _held(events)
+    if text is None:
+        text = bytearray()
+        for line in _trace_lines(events):
+            text += line.encode()
+        if isinstance(events, Trace):
+            events.sealed, events._text = len(events), text
+    return text.encode() if isinstance(text, str) else text
+
+
+def serialize_trace(events: list[dict]) -> str:
+    """Canonical JSONL form of a trace; digests are taken over this.
+    A Trace keeps the str in place of its bytes, so it holds its text
+    once."""
+    text = _held(events)
+    if not isinstance(text, str):
+        text = _canonical(events).decode()
+        if isinstance(events, Trace):
+            events._text = text
+    return text
 
 
 def trace_digest(events: list[dict]) -> str:
-    """SHA-256 of the UTF-8 bytes of serialize_trace(events), fed one line
-    at a time."""
-    h = hashlib.sha256()
-    for line in _trace_lines(events):
-        h.update(line.encode())
-    return h.hexdigest()
+    """SHA-256 of the UTF-8 bytes of serialize_trace(events)."""
+    return hashlib.sha256(_canonical(events)).hexdigest()
 
 
 # -- the simulation -----------------------------------------------------------
@@ -436,7 +476,7 @@ class Simulation:
         self._datagram_tables: set[int] = set()  # stations holding a datagram entry
         self._rp_busy = dict.fromkeys(self.ch_ids, 0)  # RP slots sent or received in
 
-        self.trace: list[dict] = []
+        self.trace = Trace()
         self.control_collisions = 0
         self.data_collisions = 0
         self.wasted_slots = 0
@@ -466,8 +506,9 @@ class Simulation:
     # -- trace helpers -------------------------------------------------------
 
     def _emit(self, frame: int, slot: int, phase: str, station: int, event: str, **detail):
-        # detail values must be JSON-ready (enum values, lists, not tuples)
-        # and never changed afterwards: the trace keeps them as given
+        # detail values must be JSON-ready (an enum's ._value_, which skips
+        # the .value property; lists, not tuples) and never changed
+        # afterwards: the trace keeps them as given
         self.trace.append(
             {
                 "frame": frame,
@@ -489,7 +530,7 @@ class Simulation:
             self._datagram_tables.add(sid)
         self._emit(
             frame, slot, phase, sid, "rt_insert",
-            slot_index=e.cf_slot, tx=e.tx, rx=e.rx, kind=e.kind.value,
+            slot_index=e.cf_slot, tx=e.tx, rx=e.rx, kind=e.kind._value_,
             established_frame=e.established_frame,
         )
 
@@ -497,7 +538,7 @@ class Simulation:
         self._cf_schedule = None
         self._emit(
             frame, slot, phase, sid, "rt_delete",
-            slot_index=e.cf_slot, tx=e.tx, rx=e.rx, kind=e.kind.value, reason=reason,
+            slot_index=e.cf_slot, tx=e.tx, rx=e.rx, kind=e.kind._value_, reason=reason,
         )
 
     def _drop(self, frame, slot, phase, sid, pkt, reason: str):
@@ -648,11 +689,11 @@ class Simulation:
         )
 
     def _send_control(self, channel, tx_accum, frame, r, sid, msg: ControlMessage):
-        detail = {"kind": msg.kind.value, "to": msg.dst}
+        detail = {"kind": msg.kind._value_, "to": msg.dst}
         if msg.slots:
             detail["slots"] = list(msg.slots)
         tx_accum.add(sid)
-        if (msg.kind.value, frame, sid) in self.faults:
+        if (detail["kind"], frame, sid) in self.faults:
             self._emit(frame, r, "RP", sid, "control_fault_drop", **detail)
             return
         self._emit(frame, r, "RP", sid, "control_tx", **detail)
@@ -823,7 +864,7 @@ class Simulation:
         for x, peer, slots, kind, fid in handshakes:
             self._emit(
                 frame, r, "RP", x, "handshake_complete",
-                peer=peer, slots=list(slots), kind=kind.value, flow=fid,
+                peer=peer, slots=list(slots), kind=kind._value_, flow=fid,
             )
 
         # anyone still waiting on a reply lost it somewhere

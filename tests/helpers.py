@@ -1,10 +1,13 @@
-"""Scenario builders shared across the test modules.
+"""Scenario builders shared across the test modules, plus a counter of
+serialised trace events.
 
 Each builder returns a plain JSON-shaped dict so tests can tweak any
 field before handing it to from_dict().
 """
 
 import math
+
+from wmsnsim import engine
 
 HALF_PI = math.pi / 2.0
 
@@ -154,3 +157,19 @@ def churn(horizon=80):
         {"kind": "CC", "frame": 42, "sender": 1},
     ]
     return base(stations, flows, horizon=horizon, faults=faults)
+
+
+def count_trace_lines(monkeypatch):
+    """Counts every event line the engine serialises from now on, by
+    counting calls of its detail encoder, which every caller of
+    engine._trace_lines reaches; returns a one-item list holding the
+    count."""
+    made = [0]
+    real = engine._encode_detail
+
+    def counted(detail, level):
+        made[0] += 1
+        return real(detail, level)
+
+    monkeypatch.setattr(engine, "_encode_detail", counted)
+    return made

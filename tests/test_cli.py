@@ -54,6 +54,17 @@ def test_run_writes_metrics_and_trace(tmp_path, capsys):
     assert trace_digest(events) == digest
 
 
+def test_run_trace_serialises_each_event_once(tmp_path, monkeypatch):
+    data = helpers.two_hop(horizon=40)
+    events = len(Simulation(from_dict(data), seed=0).run()[1])
+    made = helpers.count_trace_lines(monkeypatch)
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", write_scenario(tmp_path, data), "--out", str(out), "--trace"])
+    assert rc == 0
+    assert (out / "trace.jsonl").read_bytes().count(b"\n") == events
+    assert made[0] == events
+
+
 def test_run_exit_code_reflects_headline_audits(tmp_path):
     # hidden-terminal collisions break a headline audit: exit 2
     path = write_scenario(tmp_path, helpers.hidden_terminal())

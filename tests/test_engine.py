@@ -22,6 +22,7 @@ from wmsnsim import (
     serialize_trace,
     trace_digest,
 )
+from wmsnsim import engine
 
 
 def run(data, seed=0):
@@ -572,3 +573,45 @@ def test_engine_events_are_json_ready_and_unshared():
                 stack.extend(v)
     # a list the engine changed after emitting it would move the digest
     assert report.trace_digest == trace_digest(trace)
+
+
+def sha256_hex(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_a_run_serialises_each_event_once(monkeypatch):
+    made = helpers.count_trace_lines(monkeypatch)
+    report, trace = run(helpers.churn())
+    assert serialize_trace(trace) == canonical(trace)
+    assert trace_digest(trace) == report.trace_digest
+    assert made[0] == len(trace)
+
+
+def test_a_trace_keeps_its_text_only_while_no_event_is_added():
+    report, trace = run(helpers.churn())
+    assert isinstance(trace, list)
+    want = canonical(trace)
+    assert sha256_hex(want) == report.trace_digest
+    # a pickled finished trace and a plain list copy give the same text
+    copy = pickle.loads(pickle.dumps(trace))
+    assert list(copy) == trace
+    assert serialize_trace(copy) == want and trace_digest(copy) == report.trace_digest
+    assert serialize_trace(list(trace)) == want
+    # an event appended after the run's digest (the bytes are kept) ...
+    trace.append({"frame": 99, "slot": 0, "phase": "RP", "station": 1,
+                  "event": "x", "detail": {"a": [1.5, "\u00e9"]}})
+    assert trace_digest(trace) == sha256_hex(canonical(trace))
+    assert serialize_trace(trace) == canonical(trace)
+    # ... and after serialize_trace (the str is kept)
+    trace.append(dict(trace[0]))
+    assert trace_digest(trace) == sha256_hex(canonical(trace))
+    assert serialize_trace(trace) == canonical(trace)
+    assert serialize_trace(pickle.loads(pickle.dumps(trace))) == canonical(trace)
+
+
+def test_run_takes_its_digest_through_the_module_trace_digest(monkeypatch):
+    # the benchmark's engine.trace_digest span and its tampered-digest
+    # check wrap this module attribute
+    monkeypatch.setattr(engine, "trace_digest", lambda events: "sentinel")
+    report, _ = run(helpers.two_hop(horizon=10))
+    assert report.trace_digest == "sentinel"
