@@ -86,7 +86,6 @@ from .topology import (
     common_range,
     fso_can_transmit,
     rf_hop_distance,
-    rf_neighbors,
 )
 from .traffic import (
     SERVICE_CLASSES,

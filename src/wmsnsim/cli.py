@@ -26,7 +26,7 @@ import sys
 
 from .audit import AuditReport, run_audits
 from .engine import SimReport, Simulation, _canonical
-from .routing import ProgressMode, collect_paths, score_path
+from .routing import ProgressMode, collect_paths, score_path, selection_key
 from .scenario import Scenario, ScenarioError, from_dict
 from .topology import attach_point
 
@@ -196,10 +196,7 @@ def _cmd_route(args) -> int:
             print(f"flow {flow.id}: no route from {origin} to {flow.dst}")
             status = max(status, 1)
             continue
-        scored = sorted(
-            (score_path(net, p) for p in paths),
-            key=lambda s: (s.mean_deviation, s.path.hop_count, s.path.hops),
-        )
+        scored = sorted((score_path(net, p) for p in paths), key=selection_key)
         print(f"flow {flow.id}: {origin} -> {flow.dst} ({len(scored)} paths)")
         for i, ps in enumerate(scored):
             mark = "*" if i == 0 else " "

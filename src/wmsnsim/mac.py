@@ -73,9 +73,6 @@ class FrameLayout:
     def frame_start_ms(self, frame: int) -> float:
         return frame * self.frame_len_ms
 
-    def rp_slot_start_ms(self, frame: int, slot: int) -> float:
-        return self.frame_start_ms(frame) + slot * self.rp_slot_len_ms
-
     def cf_slot_start_ms(self, frame: int, slot: int) -> float:
         return (
             self.frame_start_ms(frame)
@@ -137,9 +134,6 @@ class ReservationTable:
 
     def delete(self, slot: int) -> ReservationEntry | None:
         return self._entries.pop(slot, None)
-
-    def free_slots(self) -> tuple[int, ...]:
-        return tuple(s for s in range(self.cf_slots) if s not in self._entries)
 
     def free_mask(self) -> int:
         mask = 0
@@ -222,10 +216,6 @@ class BackoffState:
         self.attempt = min(self.attempt + 1, cfg.max_retries)
         self.next_eligible_frame = frame + delay
         return self.next_eligible_frame
-
-    def reset(self):
-        self.attempt = 0
-        self.next_eligible_frame = 0
 
 
 @dataclass(frozen=True)

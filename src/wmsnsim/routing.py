@@ -7,21 +7,22 @@ source-sink reference line wins. The flood is breadth-first with
 candidates visited in ascending station id, so it returns arrivals
 ordered by hop count, then lexicographically by hop sequence.
 
-In GREEDY mode every hop is strictly closer to the sink, so the forwarding
-relation is a DAG. Discovery there sends no probes: it enumerates the
-DAG's source-sink paths in the flood's order and returns exactly the
-flood's first `max_paths` arrivals. Its work is at most one beam test per
-station pair plus a walk along the paths it returns. LITERAL mode is not
-a DAG and still floods, with no bound on its work.
+Discovery sends no probes in either progress mode: it enumerates the
+simple source-sink paths of the forwarding relation in the flood's order
+and returns exactly the flood's first `max_paths` arrivals. Its work is
+at most one beam test per station pair plus a depth-first walk pruned by
+which hop counts can still reach the sink. The per-hop probe API
+(`make_probe`, `forward_probe`, `next_hop_candidates`) states the same
+forwarding rule for one holder at a time.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import islice
 
 from .geometry import (
@@ -164,37 +165,68 @@ def next_hop_candidates(
     the sink, not already be on the path, and fit the hop budget. Only
     cluster heads relay; the sink itself is always a legal target.
     """
-    holder_st = net.station(holder)
-    if holder_st.kind is not StationKind.CLUSTER_HEAD:
+    if net.station(holder).kind is not StationKind.CLUSTER_HEAD:
         raise NotClusterHeadError(f"probe holder {holder} cannot transmit")
     if probe.hop_count >= probe.hop_budget:
         return []
+    dist, relays, reference = _hop_rule(
+        net,
+        probe.source,
+        probe.sink,
+        progress_mode,
+        deviation_mode,
+        probe.deviation_angle,
+    )
+    limit = reference(holder)
+    return [
+        w
+        for w in relays
+        if w != holder
+        and w not in probe.path
+        and dist[w] < limit
+        and fso_can_transmit(net, holder, w)
+    ]
 
-    sink_pos = net.station(probe.sink).position
-    src_pos = net.station(probe.source).position
+
+def _forwarding_rule(
+    net: Network,
+    source: int,
+    sink: int,
+    progress_mode: ProgressMode,
+    deviation_mode: bool,
+    deviation_angle: float,
+) -> tuple[dict[int, float], tuple[int, ...], Callable[[int], float]]:
+    """Who may relay a probe from `source`, and the progress each hop needs.
+
+    Returns each cluster head's and the sink's distance to the sink; the
+    stations that may follow the source (cluster heads and the sink,
+    closer to the sink than the source and, with `deviation_mode`, inside
+    the corridor), in ascending id; and, per holder, the distance to the
+    sink its next hop must beat: the holder's own in GREEDY mode, the
+    source's in LITERAL mode.
+    """
+    sink_pos = net.station(sink).position
+    src_pos = net.station(source).position
+    axis = bearing(src_pos, sink_pos)
+    bound = distance(src_pos, sink_pos)
+    dist = {}
+    relays = []
+    for st in net.stations():  # ascending id
+        if st.kind is StationKind.CLUSTER_HEAD or st.id == sink:
+            d = dist[st.id] = distance(st.position, sink_pos)
+            if d < bound and (
+                not deviation_mode
+                or _in_corridor(st.position, src_pos, axis, deviation_angle)
+            ):
+                relays.append(st.id)
     if progress_mode is ProgressMode.GREEDY:
-        reference = distance(holder_st.position, sink_pos)
-    else:
-        reference = distance(src_pos, sink_pos)
-    if deviation_mode:
-        axis = bearing(src_pos, sink_pos)
+        return dist, tuple(relays), dist.__getitem__
+    return dist, tuple(relays), lambda holder: bound
 
-    out = []
-    for st in net.stations():
-        if st.id == holder or st.id in probe.path:
-            continue
-        if st.kind is not StationKind.CLUSTER_HEAD and st.id != probe.sink:
-            continue
-        if not fso_can_transmit(net, holder, st.id):
-            continue
-        if not distance(st.position, sink_pos) < reference:
-            continue
-        if deviation_mode and not _in_corridor(
-            st.position, src_pos, axis, probe.deviation_angle
-        ):
-            continue
-        out.append(st.id)
-    return out
+
+# a flood asks the per-hop API once per hop with the same arguments; one
+# entry spares it rebuilding the rule at every hop. Networks are immutable.
+_hop_rule = lru_cache(maxsize=1)(_forwarding_rule)
 
 
 def _in_corridor(pos: Point, src_pos: Point, axis: float, angle: float) -> bool:
@@ -215,11 +247,9 @@ def collect_paths(
     """The probe flood's sink arrivals, in arrival order (hop count, then
     hop sequence), capped at config.max_paths.
 
-    GREEDY mode enumerates the progress DAG and sends no probes; LITERAL
-    mode runs the flood itself.
+    Both progress modes enumerate the forwarding relation's simple paths
+    instead of sending probes.
     """
-    if config.progress_mode is ProgressMode.LITERAL:
-        return _flood_paths(net, source, sink, config)
     probe = make_probe(
         net,
         source,
@@ -227,59 +257,59 @@ def collect_paths(
         deviation_angle=config.deviation_angle,
         hop_budget=config.hop_budget,
     )
-    paths = _greedy_paths(net, probe, config.deviation_mode)
+    paths = _enumerate_paths(net, probe, config.progress_mode, config.deviation_mode)
     return list(islice(paths, config.max_paths))
 
 
-def _greedy_paths(
-    net: Network, probe: ProbeMessage, deviation_mode: bool
+def _enumerate_paths(
+    net: Network,
+    probe: ProbeMessage,
+    progress_mode: ProgressMode,
+    deviation_mode: bool,
 ) -> Iterator[Path]:
-    """Source-sink paths of the GREEDY progress DAG, by hop count, then
-    lexicographically, up to the probe's hop budget. With `deviation_mode`
-    every station must also lie within the probe's deviation angle."""
+    """Simple source-sink paths of the forwarding relation, by hop count,
+    then lexicographically, up to the probe's hop budget."""
     source, sink = probe.source, probe.sink
-    sink_pos = net.station(sink).position
-    src_pos = net.station(source).position
-    axis = bearing(src_pos, sink_pos)
-    dist = {
-        st.id: distance(st.position, sink_pos)
-        for st in net.stations()
-        if st.kind is StationKind.CLUSTER_HEAD or st.id == sink
-    }
-    # every hop is strictly closer to the sink than its holder, so only
-    # stations closer than the source can follow it; the deviation filter
-    # depends on the candidate alone, so it thins the station set up front
-    nodes = [source] + [
-        v
-        for v in dist
-        if dist[v] < dist[source]
-        and (
-            not deviation_mode
-            or _in_corridor(
-                net.station(v).position, src_pos, axis, probe.deviation_angle
-            )
-        )
-    ]
-    # the sink sits at distance 0, so it gets no successors and is never
-    # asked to transmit
-    succ = {
-        v: [w for w in nodes if dist[w] < dist[v] and fso_can_transmit(net, v, w)]
-        for v in nodes
-    }
-    # bit j of reach[v] is set iff some v->sink path has exactly j hops;
-    # successors are closer to the sink, so ascending distance visits
-    # them first
-    reach = {}
-    for v in sorted(nodes, key=dist.__getitem__):
-        reach[v] = 1 if v == sink else 0
-        for w in succ[v]:
-            reach[v] |= reach[w] << 1
+    dist, relays, reference = _forwarding_rule(
+        net, source, sink, progress_mode, deviation_mode, probe.deviation_angle
+    )
+    nodes = [source, *relays]
+    # an arrival at the sink ends the probe, so the sink never transmits
+    succ = {sink: []}
+    for v in nodes:
+        if v != sink:
+            limit = reference(v)
+            succ[v] = [
+                w
+                for w in relays
+                if w != v and dist[w] < limit and fso_can_transmit(net, v, w)
+            ]
+    top = min(probe.hop_budget, len(nodes) - 1)
+    # bit j of reach[v] is set iff some walk of exactly j <= top hops
+    # leads from v to the sink. Every simple path is a walk, so a clear
+    # bit rules a prefix out. Masks only grow and are bounded, so the
+    # fixpoint terminates; on GREEDY's DAG successors are closer to the
+    # sink, so ascending distance settles it in one pass.
+    mask = (1 << top + 1) - 1
+    reach = {v: int(v == sink) for v in nodes}
+    order = sorted(nodes, key=dist.__getitem__)
+    changed = True
+    while changed:
+        changed = False
+        for v in order:
+            r = reach[v]
+            for w in succ[v]:
+                r |= reach[w] << 1
+            r &= mask
+            if r != reach[v]:
+                reach[v] = r
+                changed = True
 
-    for k in range(1, min(probe.hop_budget, len(nodes) - 1) + 1):
+    for k in range(1, top + 1):
         if not reach[source] >> k & 1:
             continue
-        # depth-first in ascending id, entering only stations that can
-        # still reach the sink in exactly the hops left
+        # depth-first in ascending id, entering only stations off the path
+        # that can still reach the sink in exactly the hops left
         path = [source]
         stack = [iter(succ[source])]
         while stack:
@@ -289,51 +319,13 @@ def _greedy_paths(
                 path.pop()
                 continue
             left = k - len(path)
-            if not reach[w] >> left & 1:
+            if not reach[w] >> left & 1 or w in path:
                 continue
             if left == 0:
                 yield Path((*path, w))
             else:
                 path.append(w)
                 stack.append(iter(succ[w]))
-
-
-def _flood_paths(
-    net: Network,
-    source: int,
-    sink: int,
-    config: RouteConfig = RouteConfig(),
-) -> list[Path]:
-    """Breadth-first probe expansion; one Path per probe arrival at the
-    sink, in discovery order, capped at config.max_paths. Probes that
-    never reach the sink are forwarded too, so the work can grow
-    exponentially with the network."""
-    probe = make_probe(
-        net,
-        source,
-        sink,
-        deviation_angle=config.deviation_angle,
-        hop_budget=config.hop_budget,
-    )
-    found: list[Path] = []
-    queue = deque([probe])
-    while queue:
-        cur = queue.popleft()
-        for cand in next_hop_candidates(
-            net,
-            cur.path[-1],
-            cur,
-            progress_mode=config.progress_mode,
-            deviation_mode=config.deviation_mode,
-        ):
-            child = forward_probe(net, cur, cand)
-            if cand == sink:
-                found.append(Path(child.path))
-                if len(found) >= config.max_paths:
-                    return found
-            else:
-                queue.append(child)
-    return found
 
 
 def score_path(net: Network, path: Path) -> PathScore:
@@ -352,12 +344,17 @@ def score_path(net: Network, path: Path) -> PathScore:
     return PathScore(path=path, mean_deviation=mean, intermediate_deviations=devs)
 
 
+def selection_key(score: PathScore) -> tuple[float, int, tuple[int, ...]]:
+    """Route preference, best first: lowest mean deviation, then fewer
+    hops, then the lexicographically smallest hop sequence."""
+    return (score.mean_deviation, score.path.hop_count, score.path.hops)
+
+
 def select_best_path(scores: list[PathScore]) -> PathScore:
-    """Lowest mean deviation wins; ties break to fewer hops, then to the
-    lexicographically smallest hop sequence."""
+    """The first path by `selection_key`."""
     if not scores:
         raise EmptyPathSetError("no candidate paths")
-    return min(scores, key=lambda s: (s.mean_deviation, s.path.hop_count, s.path.hops))
+    return min(scores, key=selection_key)
 
 
 def discover(

@@ -160,11 +160,6 @@ class Network:
         return self._rf_hops[a]
 
 
-def rf_neighbors(net: Network, x: int) -> frozenset[int]:
-    """Stations inside x's radio range (x excluded)."""
-    return net.rf_reach(x)
-
-
 def common_range(net: Network, x: int, y: int) -> frozenset[int]:
     """Stations audible to both x and y (neither endpoint included)."""
     return (net.rf_reach(x) & net.rf_reach(y)) - {x, y}

@@ -231,9 +231,6 @@ class PacketQueue:
             self.next_deadline = pkt.deadline_ms
         return True
 
-    def peek(self) -> PacketRecord | None:
-        return self._q[0] if self._q else None
-
     def head_ready(self, now_ms: float) -> PacketRecord | None:
         """Oldest packet that already exists at `now_ms`, without removing
         it. Creation times are monotone, so only the head can qualify."""

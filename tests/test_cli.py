@@ -8,7 +8,7 @@ import math
 import pytest
 
 import helpers
-from wmsnsim import Simulation, from_dict, trace_digest
+from wmsnsim import Simulation, discover, from_dict, trace_digest
 from wmsnsim.cli import main
 
 
@@ -88,14 +88,33 @@ def test_run_merges_fault_file(tmp_path, capsys):
     assert drops and drops[0]["frame"] == 0 and drops[0]["station"] == 1
 
 
+def deviation_tie():
+    # every relay sits 3 off the source-sink line, so all nine paths tie
+    # on deviation and the hop count, then the hop order, decide
+    tau = 2 * math.pi
+    relays = [(1, 7.0, 3.0), (2, 14.0, 3.0), (3, 10.0, -3.0), (4, 10.0, 3.0)]
+    stations = [helpers.ch(0, 0.0, 0.0, alpha=tau, reach=12.0)]
+    stations += [helpers.ch(i, x, y, alpha=tau, reach=12.0) for i, x, y in relays]
+    stations.append(helpers.bs(9, 20.0, 0.0))
+    return helpers.base(stations, flows=[helpers.flow(1, 0, 9)])
+
+
 def test_route_lists_scored_paths(tmp_path, capsys):
-    path = write_scenario(tmp_path, helpers.two_hop())
-    rc = main(["route", "--scenario", path])
-    assert rc == 0
-    outp = capsys.readouterr().out
-    assert "flow 1: 1 -> 9 (1 paths)" in outp
-    assert "* 1-2-9" in outp  # the selected path is marked
-    assert "mean_deviation=0.000" in outp
+    cases = [
+        (helpers.two_hop(), "flow 1: 1 -> 9 (1 paths)", "1-2-9 mean_deviation=0.000"),
+        (deviation_tie(), "flow 1: 0 -> 9 (9 paths)", "0-3-9 mean_deviation=3.000"),
+    ]
+    for data, header, best in cases:
+        path = write_scenario(tmp_path, data)
+        assert main(["route", "--scenario", path]) == 0
+        outp = capsys.readouterr().out
+        assert header in outp
+        assert f"* {best}" in outp  # the selected path is marked
+        # the listing ranks paths as the simulation selects them
+        sc = from_dict(data)
+        (fl,) = sc.flows
+        chosen = discover(sc.build_network(), fl.src, fl.dst, sc.routing)
+        assert best.split()[0] == "-".join(map(str, chosen.path.hops))
 
 
 def dogleg():

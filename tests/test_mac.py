@@ -43,7 +43,6 @@ def test_frame_layout_timing():
     assert lay.frame_len_ms == pytest.approx(11 * 0.2 + 20 * 0.5)
     assert lay.frame_start_ms(0) == 0.0
     assert lay.frame_start_ms(2) == pytest.approx(2 * 12.2)
-    assert lay.rp_slot_start_ms(0, 3) == pytest.approx(0.6)
     # contention-free slots start after the whole reservation period
     assert lay.cf_slot_start_ms(0, 0) == pytest.approx(2.2)
     assert lay.cf_slot_end_ms(0, 0) == pytest.approx(2.7)
@@ -71,13 +70,13 @@ def test_reservation_entry_validation():
 
 def test_reservation_table_basics():
     t = ReservationTable(owner=1, cf_slots=4)
-    assert t.free_slots() == (0, 1, 2, 3)
+    assert mask_to_slots(t.free_mask()) == (0, 1, 2, 3)
     assert t.free_mask() == 0b1111
     e = entry(2, 1, 5)
     assert t.insert(e) is None
     assert t.get(2) is e
     assert t.free_mask() == 0b1011
-    assert t.free_slots() == (0, 1, 3)
+    assert mask_to_slots(t.free_mask()) == (0, 1, 3)
     # same slot again: newest wins, old entry reported
     e2 = entry(2, 7, 8)
     assert t.insert(e2) is e
@@ -93,7 +92,7 @@ def test_mask_round_trip():
     t = ReservationTable(owner=0, cf_slots=9)
     for s in (0, 3, 7):
         t.insert(entry(s, 1, 2))
-    assert mask_to_slots(t.free_mask()) == t.free_slots()
+    assert mask_to_slots(t.free_mask()) == (1, 2, 4, 5, 6, 8)
 
 
 def test_choose_grant_real_time_takes_one_lowest():
@@ -177,7 +176,7 @@ def test_answer_request_with_no_common_slot_is_silent():
     cr = a.build_request(2, RT)
     assert b.answer_request(cr, frame=0) is None
     # and the failed answer reserved nothing
-    assert b.rt.free_slots() == (0,)
+    assert mask_to_slots(b.rt.free_mask()) == (0,)
 
 
 def test_build_request_requires_a_free_slot():
@@ -297,8 +296,9 @@ def test_backoff_delay_bounds_and_reset():
         assert 101 <= nxt <= 116
         assert not st.eligible(nxt - 1)
         assert st.eligible(nxt)
-    st.reset()
-    assert st.attempt == 0 and st.eligible(0)
+    # the engine resets a flow's backoff by starting a fresh state
+    fresh = BackoffState()
+    assert fresh.attempt == 0 and fresh.eligible(0)
 
 
 def test_backoff_config_validation():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -26,7 +27,6 @@ from wmsnsim import (
     score_path,
     select_best_path,
 )
-from wmsnsim.routing import _flood_paths
 
 GRID = GridSpec(cell_width=10.0, cell_height=10.0)
 TWO_PI = 2 * math.pi
@@ -321,7 +321,39 @@ def test_discover_picks_global_minimum():
     assert found_some > 5  # the layouts must actually exercise selection
 
 
-def test_greedy_discovery_matches_the_flood_in_order():
+def flood_paths(net, source, sink, config):
+    """The protocol itself: a breadth-first probe flood with one Path per
+    arrival at the sink, in arrival order, capped at config.max_paths."""
+    probe = make_probe(
+        net,
+        source,
+        sink,
+        deviation_angle=config.deviation_angle,
+        hop_budget=config.hop_budget,
+    )
+    found = []
+    queue = deque([probe])
+    while queue:
+        cur = queue.popleft()
+        for cand in next_hop_candidates(
+            net,
+            cur.path[-1],
+            cur,
+            progress_mode=config.progress_mode,
+            deviation_mode=config.deviation_mode,
+        ):
+            child = forward_probe(net, cur, cand)
+            if cand == sink:
+                found.append(Path(child.path))
+                if len(found) >= config.max_paths:
+                    return found
+            else:
+                queue.append(child)
+    return found
+
+
+@pytest.mark.parametrize("mode", list(ProgressMode))
+def test_discovery_matches_the_flood_in_order(mode):
     rng = random.Random(97)
     corridors = [
         {},
@@ -336,10 +368,13 @@ def test_greedy_discovery_matches_the_flood_in_order():
                 for hop_budget in (1, 2, 3, None):
                     for corridor in corridors:
                         cfg = RouteConfig(
-                            max_paths=max_paths, hop_budget=hop_budget, **corridor
+                            progress_mode=mode,
+                            max_paths=max_paths,
+                            hop_budget=hop_budget,
+                            **corridor,
                         )
                         got = collect_paths(net, src, 99, cfg)
-                        assert got == _flood_paths(net, src, 99, cfg)
+                        assert got == flood_paths(net, src, 99, cfg)
                         cases += bool(got)
     assert cases > 4000  # most cases must find paths to compare
 
@@ -367,9 +402,10 @@ def grid_net(k):
     return Network(stations, sink=1000, grid_spec=grid)
 
 
-def test_greedy_discovery_work_is_bounded_on_grid12(monkeypatch):
+@pytest.mark.parametrize("mode", list(ProgressMode))
+def test_discovery_work_is_bounded_on_grid12(monkeypatch, mode):
     # the probe flood made over half a million beam tests per flow on the
-    # 10 x 10 grid, and more on this one
+    # 10 x 10 grid in either mode, and more on this one
     net = grid_net(12)
     n = len(net.ids())
     calls = 0
@@ -383,7 +419,7 @@ def test_greedy_discovery_work_is_bounded_on_grid12(monkeypatch):
     monkeypatch.setattr(routing, "fso_can_transmit", counted)
     for gy in range(12):
         calls = 0
-        paths = collect_paths(net, 12 * gy, 1000)
+        paths = collect_paths(net, 12 * gy, 1000, RouteConfig(progress_mode=mode))
         assert calls <= n * n
         assert len(paths) == RouteConfig().max_paths
         assert paths == sorted(paths, key=lambda p: (p.hop_count, p.hops))

@@ -20,7 +20,6 @@ from wmsnsim import (
     distance,
     fso_can_transmit,
     rf_hop_distance,
-    rf_neighbors,
     sector_contains,
 )
 
@@ -108,9 +107,9 @@ def test_network_rejects_duplicates_and_bad_sinks():
 def test_rf_neighbors_uses_sender_range():
     net = small_net()
     # station 0 has rf 10: reaches 1 (d=8) and sensor 5, not 2 or 9
-    assert rf_neighbors(net, 0) == frozenset({1, 5})
+    assert net.rf_reach(0) == frozenset({1, 5})
     # the base station has rf 0: hears nothing over RF
-    assert rf_neighbors(net, 9) == frozenset()
+    assert net.rf_reach(9) == frozenset()
 
 
 def test_common_range_excludes_endpoints():

@@ -149,10 +149,10 @@ def test_queue_fifo_and_overflow():
     assert not q.push(p3)
     assert p3.dropped is DropReason.OVERFLOW
     assert len(q) == 2
-    assert q.peek() is p1
+    assert q.head_ready(math.inf) is p1
     assert q.pop() is p1
     assert q.pop() is p2
-    assert q.peek() is None
+    assert q.head_ready(math.inf) is None
 
 
 def test_queue_head_ready_respects_creation_time():
