@@ -25,6 +25,14 @@ Supporting checks (reported, not gating):
                           a second claimed transmitter could reach it
   datagram_expiry         no datagram reservation survives its frame
   realtime_persistence    real-time entries leave tables only by cancel
+
+The three per-frame checks (rt_consistency, datagram_expiry,
+realtime_persistence) read only the replayed tables and the real-time
+obligations. Each is recomputed only after an rt_insert, rt_delete or
+real-time handshake_complete has changed them; in a frame with no such
+change its last findings are flagged again at the new frame. Events the
+replay never reads (data_tx, packet_gen, wasted_slot, ...) are skipped
+once they have marked the frame.
 """
 
 from __future__ import annotations
@@ -95,6 +103,75 @@ class AuditReport:
         ]
 
 
+# every event the replay reads; the others only mark the frame
+_READS = frozenset({
+    "rt_insert", "rt_delete", "handshake_complete", "cancel_complete",
+    "control_tx", "control_collision", "data_collision", "frame_end",
+})
+
+
+def _rt_consistency(tables, chs, interf) -> tuple[int, list[tuple]]:
+    """Slots checked, and (slot, listener, expected, interferer) for
+    each listener that a second claimed transmitter of its slot reaches."""
+    # slot -> (transmitters, (listener, expected) pairs), in station order
+    claims: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+    for sid in chs:
+        for slot, (tx, rx, _) in tables[sid].items():
+            txs, rxs = claims.get(slot) or claims.setdefault(slot, ([], []))
+            if tx == sid:
+                txs.append(sid)
+            if rx == sid:
+                rxs.append((sid, tx))
+    findings = []
+    for slot in sorted(claims):
+        txs, rxs = claims[slot]
+        for sid, expected in rxs:
+            for t in txs:
+                if t != expected and sid in interf[t]:
+                    findings.append((slot, sid, expected, t))
+    return len(claims), findings
+
+
+def _datagram_expiry(tables, chs) -> tuple[int, list[tuple]]:
+    """One check, and (station, slot, entry) for each datagram
+    reservation a table still holds."""
+    return 1, [
+        (sid, slot, ent)
+        for sid in chs
+        for slot, ent in sorted(tables[sid].items())
+        if ent[2] == "datagram"
+    ]
+
+
+def _realtime_persistence(tables, obligations) -> tuple[int, list[tuple]]:
+    """Endpoint tables checked, and (station, slot, wanted entry) for
+    each obligated endpoint whose table lacks its real-time entry."""
+    checked = 0
+    findings = []
+    for (slot, tx, rx), members in sorted(obligations.items()):
+        want = (tx, rx, "real_time")
+        checked += len(members)
+        for sid in sorted(members):
+            if tables[sid].get(slot) != want:
+                findings.append((sid, slot, want))
+    return checked, findings
+
+
+def _flag_all(verdict: Verdict, frame: int, checked: int, findings, keys) -> None:
+    """Adds checked and flags each finding at frame, its fields named by
+    keys and its tuples made fresh lists; builds only the violation
+    dicts the cap keeps."""
+    verdict.checked += checked
+    if findings:
+        verdict.passed = False
+        verdict.violation_count += len(findings)
+        for f in findings[: MAX_VIOLATIONS - len(verdict.violations)]:
+            detail = {"frame": frame}
+            for k, v in zip(keys, f):
+                detail[k] = list(v) if isinstance(v, tuple) else v
+            verdict.violations.append(detail)
+
+
 def run_audits(
     trace: list[dict],
     net: Network,
@@ -155,52 +232,41 @@ def run_audits(
 
     # station -> cf slot -> (tx, rx, kind) as rebuilt from the trace
     tables: dict[int, dict[int, tuple[int, int, str]]] = {sid: {} for sid in chs}
-
-    def check_frame_consistency(frame: int) -> None:
-        # one pass over everything any station believes about this frame
-        slots: set[int] = set()
-        for sid in chs:
-            slots.update(tables[sid])
-        for slot in sorted(slots):
-            consistency.checked += 1
-            transmitters = [
-                sid for sid in chs if tables[sid].get(slot, (None,))[0] == sid
-            ]
-            for sid in chs:
-                ent = tables[sid].get(slot)
-                if ent is None or ent[1] != sid:
-                    continue
-                expected = ent[0]
-                for t in transmitters:
-                    if t != expected and sid in interf[t]:
-                        consistency.flag(
-                            frame=frame, slot=slot, listener=sid,
-                            expected=expected, interferer=t,
-                        )
-
-    def check_datagram_expiry(frame: int) -> None:
-        for sid in chs:
-            for slot, ent in sorted(tables[sid].items()):
-                if ent[2] == "datagram":
-                    dg_expiry.flag(frame=frame, station=sid, slot=slot, entry=list(ent))
-        dg_expiry.checked += 1
-
     # (slot, tx, rx) -> endpoints whose table must still hold the entry;
     # an endpoint leaves the set the moment it deletes, so a completed
     # or half-finished cancellation stops obligating the parties that
     # already tore down
     obligations: dict[tuple[int, int, int], set[int]] = {}
+    # moves on every rt_insert, rt_delete and real-time handshake, the
+    # only events that change tables or obligations
+    version = 0
 
-    def check_realtime_persistence(frame: int) -> None:
-        for (slot, tx, rx), members in sorted(obligations.items()):
-            want = (tx, rx, "real_time")
-            for sid in sorted(members):
-                rt_persist.checked += 1
-                if tables[sid].get(slot) != want:
-                    rt_persist.flag(
-                        frame=frame, station=sid, slot=slot,
-                        expected=list(want),
-                    )
+    def per_frame(verdict, compute, keys):
+        """A frame check that calls compute() for (checked, findings)
+        only after the version has moved, and otherwise flags its last
+        findings again at the new frame."""
+        memo = [None, 0, []]
+
+        def check(frame: int) -> None:
+            if memo[0] != version:
+                memo[:] = version, *compute()
+            _flag_all(verdict, frame, memo[1], memo[2], keys)
+
+        return check
+
+    check_frame_consistency = per_frame(
+        consistency,
+        lambda: _rt_consistency(tables, chs, interf),
+        ("slot", "listener", "expected", "interferer"),
+    )
+    check_datagram_expiry = per_frame(
+        dg_expiry, lambda: _datagram_expiry(tables, chs), ("station", "slot", "entry")
+    )
+    check_realtime_persistence = per_frame(
+        rt_persist,
+        lambda: _realtime_persistence(tables, obligations),
+        ("station", "slot", "expected"),
+    )
 
     cur_frame = None
     for ev in trace:
@@ -214,11 +280,14 @@ def run_audits(
             cur_frame = frame
 
         kind = ev["event"]
+        if kind not in _READS:
+            continue
         st = ev["station"]
         d = ev["detail"]
 
         if kind == "rt_insert":
             tables[st][d["slot_index"]] = (d["tx"], d["rx"], d["kind"])
+            version += 1
 
         elif kind == "rt_delete":
             # the persistence rule protects the reservation itself, so it
@@ -237,12 +306,14 @@ def run_audits(
                     if not held:
                         obligations.pop((d["slot_index"], d["tx"], d["rx"]))
             tables[st].pop(d["slot_index"], None)
+            version += 1
 
         elif kind == "handshake_complete":
             x, y = st, d["peer"]
             if d["kind"] == "real_time":
                 for slot in d["slots"]:
                     obligations[(slot, x, y)] = {x, y}
+                version += 1
             want = (x, y, d["kind"])
             for member in agreement_set(x, y):
                 for slot in d["slots"]:

@@ -9,7 +9,9 @@ import copy
 import pytest
 
 import helpers
-from wmsnsim import Simulation, from_dict, run_audits
+from wmsnsim import Simulation, audit as audit_mod, from_dict, run_audits
+from wmsnsim.audit import Verdict
+from wmsnsim.geometry import Sector, sector_contains
 
 
 def clean_run(data, seed=0):
@@ -20,13 +22,117 @@ def clean_run(data, seed=0):
 
 
 def audit(sim, sc, trace):
-    return run_audits(
+    """run_audits on the trace, checked against full_recheck."""
+    multiplier = sc.channel.interference_multiplier
+    rep = run_audits(
         trace,
         sim.net,
         rp_slot_map=sim.rp_slot_map,
         slotting_enabled=sc.mac.slotting_enabled,
-        interference_multiplier=sc.channel.interference_multiplier,
+        interference_multiplier=multiplier,
     )
+    got = [rep.rt_consistency, rep.datagram_expiry, rep.realtime_persistence]
+    assert got == full_recheck(trace, sim.net, multiplier)
+    return rep
+
+
+def full_recheck(trace, net, interference_multiplier):
+    """The rt_consistency, datagram_expiry and realtime_persistence
+    verdicts with every per-frame check run again at every frame: the
+    replay and check bodies of the auditor before it memoised them."""
+    chs = sorted(s.id for s in net.cluster_heads())
+    interf = {}
+    for sid in chs:
+        s = net.station(sid)
+        wide = Sector(
+            apex=s.sector.apex,
+            theta=s.sector.theta,
+            alpha=s.sector.alpha,
+            range=s.sector.range * interference_multiplier,
+        )
+        interf[sid] = frozenset(
+            t
+            for t in chs
+            if t != sid and sector_contains(wide, net.station(t).position)
+        )
+    consistency = Verdict("rt_consistency")
+    dg_expiry = Verdict("datagram_expiry")
+    rt_persist = Verdict("realtime_persistence")
+    tables = {sid: {} for sid in chs}
+    obligations = {}
+
+    def check_frame_consistency(frame):
+        slots = set()
+        for sid in chs:
+            slots.update(tables[sid])
+        for slot in sorted(slots):
+            consistency.checked += 1
+            transmitters = [
+                sid for sid in chs if tables[sid].get(slot, (None,))[0] == sid
+            ]
+            for sid in chs:
+                ent = tables[sid].get(slot)
+                if ent is None or ent[1] != sid:
+                    continue
+                expected = ent[0]
+                for t in transmitters:
+                    if t != expected and sid in interf[t]:
+                        consistency.flag(
+                            frame=frame, slot=slot, listener=sid,
+                            expected=expected, interferer=t,
+                        )
+
+    def check_datagram_expiry(frame):
+        for sid in chs:
+            for slot, ent in sorted(tables[sid].items()):
+                if ent[2] == "datagram":
+                    dg_expiry.flag(frame=frame, station=sid, slot=slot, entry=list(ent))
+        dg_expiry.checked += 1
+
+    def check_realtime_persistence(frame):
+        for (slot, tx, rx), members in sorted(obligations.items()):
+            want = (tx, rx, "real_time")
+            for sid in sorted(members):
+                rt_persist.checked += 1
+                if tables[sid].get(slot) != want:
+                    rt_persist.flag(
+                        frame=frame, station=sid, slot=slot,
+                        expected=list(want),
+                    )
+
+    cur_frame = None
+    for ev in trace:
+        frame, kind, st, d = ev["frame"], ev["event"], ev["station"], ev["detail"]
+        if cur_frame is None:
+            cur_frame = frame
+        elif frame != cur_frame:
+            check_datagram_expiry(cur_frame)
+            cur_frame = frame
+        if kind == "rt_insert":
+            tables[st][d["slot_index"]] = (d["tx"], d["rx"], d["kind"])
+        elif kind == "rt_delete":
+            if d["kind"] == "real_time" and st in (d["tx"], d["rx"]):
+                rt_persist.checked += 1
+                if d["reason"] != "cancel":
+                    rt_persist.flag(
+                        frame=frame, station=st, slot=d["slot_index"],
+                        reason=d["reason"],
+                    )
+                held = obligations.get((d["slot_index"], d["tx"], d["rx"]))
+                if held is not None:
+                    held.discard(st)
+                    if not held:
+                        obligations.pop((d["slot_index"], d["tx"], d["rx"]))
+            tables[st].pop(d["slot_index"], None)
+        elif kind == "handshake_complete" and d["kind"] == "real_time":
+            for slot in d["slots"]:
+                obligations[(slot, st, d["peer"])] = {st, d["peer"]}
+        elif kind == "frame_end":
+            check_frame_consistency(frame)
+            check_realtime_persistence(frame)
+    if cur_frame is not None:
+        check_datagram_expiry(cur_frame)
+    return [consistency, dg_expiry, rt_persist]
 
 
 @pytest.fixture(scope="module")
@@ -88,11 +194,9 @@ def test_fake_expiry_of_real_time_entry_breaks_persistence(two_hop_run):
     assert rep.realtime_persistence.violations[0]["reason"] == "expire"
 
 
-def test_silently_missing_endpoint_entry_breaks_persistence(two_hop_run):
-    # no rt_delete at all: the transmitter's table simply never holds
-    # the entry its completed handshake promised, which only the
-    # per-frame presence check can notice
-    sc, sim, trace = two_hop_run
+def without_endpoint_entry(trace):
+    """A copy of the trace without the rt_insert of the first real-time
+    handshake's initiator; returns it, the initiator and the slots."""
     doctored = copy.deepcopy(trace)
     hs = next(
         e for e in doctored
@@ -110,6 +214,15 @@ def test_silently_missing_endpoint_entry_breaks_persistence(two_hop_run):
         and e["detail"]["slot_index"] in slots
     )
     del doctored[idx]
+    return doctored, owner, slots
+
+
+def test_silently_missing_endpoint_entry_breaks_persistence(two_hop_run):
+    # no rt_delete at all: the transmitter's table simply never holds
+    # the entry its completed handshake promised, which only the
+    # per-frame presence check can notice
+    sc, sim, trace = two_hop_run
+    doctored, owner, slots = without_endpoint_entry(trace)
     rep = audit(sim, sc, doctored)
     assert not rep.realtime_persistence.passed
     v = rep.realtime_persistence.violations[0]
@@ -139,10 +252,10 @@ def test_moved_control_tx_breaks_slot_discipline(two_hop_run):
     assert audit(sim, sc, doctored2).rp_slot_discipline.passed
 
 
-def test_surviving_datagram_entry_breaks_expiry(two_hop_run):
-    sc, sim, trace = two_hop_run
+def with_surviving_datagram(trace):
+    """A copy of the trace with a datagram reservation at station 2 from
+    frame 2 on that is never cleaned up."""
     doctored = copy.deepcopy(trace)
-    # forge a datagram reservation that never gets cleaned up
     forged = {
         "frame": 2,
         "slot": 5,
@@ -159,7 +272,12 @@ def test_surviving_datagram_entry_breaks_expiry(two_hop_run):
     }
     at = next(i for i, e in enumerate(doctored) if e["frame"] == 2)
     doctored.insert(at, forged)
-    rep = audit(sim, sc, doctored)
+    return doctored
+
+
+def test_surviving_datagram_entry_breaks_expiry(two_hop_run):
+    sc, sim, trace = two_hop_run
+    rep = audit(sim, sc, with_surviving_datagram(trace))
     assert not rep.datagram_expiry.passed
     assert rep.datagram_expiry.violations[0]["station"] == 2
     assert rep.datagram_expiry.violations[0]["frame"] == 2
@@ -245,3 +363,74 @@ def test_verdict_violation_cap():
     rep = audit(sim, sc, doctored)
     assert rep.control_collision_free.violation_count == 40
     assert len(rep.control_collision_free.violations) == 25
+
+
+def test_replayed_violations_share_no_list(two_hop_run):
+    # a frame with no table change flags its last findings again; each
+    # flag gets lists of its own
+    sc, sim, trace = two_hop_run
+    for doctored, verdict, key in (
+        (with_surviving_datagram(trace), "datagram_expiry", "entry"),
+        (without_endpoint_entry(trace)[0], "realtime_persistence", "expected"),
+    ):
+        found = getattr(audit(sim, sc, doctored), verdict).violations
+        first, later = found[0], found[-1]
+        assert first["frame"] < later["frame"] and first[key] == later[key]
+        kept = list(later[key])
+        first[key].append("changed")
+        first[key][0] = None
+        assert later[key] == kept
+
+
+D2_GRID = helpers.grid(
+    6, flows=helpers.grid_flows(6, 6), horizon=60, rf=150.0, reach=150.0
+)
+D7_GRID = dict(
+    helpers.grid(4, flows=helpers.grid_flows(4, 3), horizon=40, rf=220.0),
+    channel={"interference_multiplier": 1.5},
+)
+
+
+@pytest.mark.parametrize(
+    "data, flagged",
+    [
+        # the receiver-side hidden terminal: rt_consistency flags every
+        # frame, past the violation cap
+        (D2_GRID, 26),
+        (D7_GRID, 26),
+        (helpers.churn(), 0),
+        (helpers.hidden_terminal(), 0),
+        (helpers.mixed_traffic(horizon=60), 0),
+    ],
+)
+def test_per_frame_verdicts_match_a_full_recheck(data, flagged):
+    sc, sim, trace = clean_run(data)
+    rep = audit(sim, sc, trace)
+    assert rep.rt_consistency.violation_count >= flagged
+    assert rep.realtime_persistence.checked > 0
+
+
+def test_per_frame_checks_run_only_after_a_change(monkeypatch):
+    # the tier-1 grid6-cbr pin scenario: reservations settle early, so
+    # most frames replay the last findings
+    sc, sim, trace = clean_run(
+        helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=60, rf=200.0)
+    )
+    calls = {}
+    for name in ("_rt_consistency", "_datagram_expiry", "_realtime_persistence"):
+        real = getattr(audit_mod, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(audit_mod, name, counted)
+    rep = audit(sim, sc, trace)
+    changed = {
+        e["frame"]
+        for e in trace
+        if e["event"] in ("rt_insert", "rt_delete", "handshake_complete")
+    }
+    assert rep.rt_consistency.checked > 0 and 0 < len(changed) < 30
+    assert len(calls) == 3
+    assert max(calls.values()) <= len(changed) + 1

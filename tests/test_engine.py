@@ -446,14 +446,28 @@ def slot_counts(report):
     }
 
 
+def verdict_pins(audit):
+    return [(v.name, v.passed, v.checked, v.violation_count) for v in audit.verdicts()]
+
+
 def test_short_grid6_cbr_run_pins_its_digest_and_slot_counts():
     # the bench grid6-cbr layout for 60 frames; the digest and counts were
     # taken before the frame loop went per reservation
     data = helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=60, rf=200.0)
-    report, _ = run(data)
+    report, _, audit = audited(data)
     assert report.trace_digest == (
         "5d9cfc3019ad1e18be50ebcd92bb524de5c163610d0f5763d68ddd166b85872e"
     )
+    # taken before the per-frame audit checks were memoised
+    assert verdict_pins(audit) == [
+        ("interferer_hop_bound", True, 0, 0),
+        ("control_collision_free", True, 0, 0),
+        ("table_agreement", True, 222, 0),
+        ("rp_slot_discipline", True, 60, 0),
+        ("rt_consistency", True, 632, 0),
+        ("datagram_expiry", True, 60, 0),
+        ("realtime_persistence", True, 3430, 0),
+    ]
     assert slot_counts(report) == {
         0: (48, 5, 654, 1153), 1: (98, 102, 674, 986), 2: (0, 14, 646, 1200),
         3: (0, 14, 646, 1200), 4: (0, 5, 655, 1200), 5: (0, 1, 659, 1200),
@@ -473,10 +487,19 @@ def test_short_grid6_cbr_run_pins_its_digest_and_slot_counts():
 
 def test_mixed_run_pins_its_digest_and_slot_counts():
     # taken before the frame loop went per reservation, like the grid pin
-    report, trace = run(helpers.churn())
+    report, trace, audit = audited(helpers.churn())
     assert report.trace_digest == (
         "67b6746460916ebe6c3837a2945405b2becc10be441f84e02a2901cb47c0b080"
     )
+    assert verdict_pins(audit) == [
+        ("interferer_hop_bound", True, 2, 0),
+        ("control_collision_free", False, 2, 2),
+        ("table_agreement", True, 3583, 0),
+        ("rp_slot_discipline", True, 468, 0),
+        ("rt_consistency", True, 1479, 0),
+        ("datagram_expiry", True, 80, 0),
+        ("realtime_persistence", True, 1182, 0),
+    ]
     assert slot_counts(report) == {
         1: (116, 231, 644, 1489), 2: (577, 477, 678, 748), 3: (530, 497, 754, 699),
         4: (449, 527, 794, 710), 5: (362, 161, 645, 1312), 9: (0, 371, 880, 1229),
