@@ -110,9 +110,10 @@ _READS = frozenset({
 })
 
 
-def _rt_consistency(tables, chs, interf) -> tuple[int, list[tuple]]:
+def _rt_consistency(tables, chs, footprint) -> tuple[int, list[tuple]]:
     """Slots checked, and (slot, listener, expected, interferer) for
-    each listener that a second claimed transmitter of its slot reaches."""
+    each listener that a second claimed transmitter of its slot reaches;
+    footprint(t) is the set of stations t's laser reaches."""
     # slot -> (transmitters, (listener, expected) pairs), in station order
     claims: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
     for sid in chs:
@@ -127,7 +128,7 @@ def _rt_consistency(tables, chs, interf) -> tuple[int, list[tuple]]:
         txs, rxs = claims[slot]
         for sid, expected in rxs:
             for t in txs:
-                if t != expected and sid in interf[t]:
+                if t != expected and sid in footprint(t):
                     findings.append((slot, sid, expected, t))
     return len(claims), findings
 
@@ -187,21 +188,25 @@ def run_audits(
             for sid in chs
         }
 
-    # independent recomputation of each laser's interference footprint
-    interf: dict[int, frozenset[int]] = {}
-    for sid in chs:
-        s = net.station(sid)
-        wide = Sector(
-            apex=s.sector.apex,
-            theta=s.sector.theta,
-            alpha=s.sector.alpha,
-            range=s.sector.range * interference_multiplier,
-        )
-        interf[sid] = frozenset(
-            t
-            for t in chs
-            if t != sid and sector_contains(wide, net.station(t).position)
-        )
+    # independent recomputation of a laser's interference footprint, made
+    # the first time the replay sees the station claim a transmit slot
+    footprints: dict[int, frozenset[int]] = {}
+
+    def footprint(sid: int) -> frozenset[int]:
+        if sid not in footprints:
+            s = net.station(sid)
+            wide = Sector(
+                apex=s.sector.apex,
+                theta=s.sector.theta,
+                alpha=s.sector.alpha,
+                range=s.sector.range * interference_multiplier,
+            )
+            footprints[sid] = frozenset(
+                t
+                for t in chs
+                if t != sid and sector_contains(wide, net.station(t).position)
+            )
+        return footprints[sid]
 
     hop_bound = Verdict("interferer_hop_bound")
     collision_free = Verdict("control_collision_free")
@@ -256,7 +261,7 @@ def run_audits(
 
     check_frame_consistency = per_frame(
         consistency,
-        lambda: _rt_consistency(tables, chs, interf),
+        lambda: _rt_consistency(tables, chs, footprint),
         ("slot", "listener", "expected", "interferer"),
     )
     check_datagram_expiry = per_frame(

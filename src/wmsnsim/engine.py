@@ -206,13 +206,11 @@ class _FlowRuntime:
         self.source = PacketSource(flow, rng)
         self.records: list[PacketRecord] = []
         self.attach = flow.src  # cluster head where packets enter the mesh
-        self.path: tuple[int, ...] | None = None
+        self.path: tuple[int, ...] | None = None  # None: no route found
         self.mean_deviation = 0.0
         self.next_hop: dict[int, int] = {}
         self.reserving_hops: list[int] = []  # hops that need MAC slots
-        self.unrouted = False
-        # session continuity, per reserving hop
-        self.established_once: set[int] = set()
+        # session continuity, per reserving hop that has ever held slots
         self.gap: dict[int, int] = {}
         self.max_gap: dict[int, int] = {}
 
@@ -493,7 +491,6 @@ class Simulation:
             return
         best = discover(self.net, origin, flow.dst, config=self.routing_cfg)
         if best is None:
-            fr.unrouted = True
             return
         hops = best.path.hops
         fr.path = hops
@@ -556,7 +553,7 @@ class Simulation:
 
         for fid in self.flow_ids:
             fr = self.flows[fid]
-            if fr.unrouted:
+            if fr.path is None:
                 self._emit(0, 0, "RP", fr.attach, "route", flow=fid, unrouted=True)
             else:
                 self._emit(
@@ -594,7 +591,7 @@ class Simulation:
                     frame, 0, "RP", fr.attach, "packet_gen",
                     flow=fid, seq=pkt.seq, created_ms=round(pkt.created_ms, 6),
                 )
-                if fr.unrouted:
+                if fr.path is None:
                     pkt.dropped = DropReason.OVERFLOW
                     self._drop(frame, 0, "RP", fr.attach, pkt, "unrouted")
                     continue
@@ -821,7 +818,6 @@ class Simulation:
                     st.bindings[s] = fid
                 st.est_backoff.pop(fid, None)
                 fr = self.flows[fid]
-                fr.established_once.add(rho)
                 fr.gap[rho] = 0
                 handshakes.append((rho, msg.src, msg.slots, msg.entry_kind, fid))
                 self._send_control(channel, slot_tx, frame, r, rho, srb)
@@ -1023,14 +1019,14 @@ class Simulation:
         # has traffic and no reservation is starving
         for fid in self.flow_ids:
             fr = self.flows[fid]
-            if fr.unrouted or not fr.flow.real_time:
+            if not fr.flow.real_time:
                 continue
             for sid in fr.reserving_hops:
-                if sid not in fr.established_once:
+                if sid not in fr.gap:
                     continue
                 st = self.sts[sid]
                 if fid not in st.flow_slots and len(st.queues[fid]) > 0:
-                    fr.gap[sid] = fr.gap.get(sid, 0) + 1
+                    fr.gap[sid] += 1
                     fr.max_gap[sid] = max(fr.max_gap.get(sid, 0), fr.gap[sid])
                 else:
                     fr.gap[sid] = 0

@@ -115,8 +115,8 @@ class GridSpec:
     cells in any 3x3 window a distinct slot, so rp_modulus is floored there.
     """
 
-    cell_width: float
-    cell_height: float
+    cell_width: float = 100.0
+    cell_height: float = 100.0
     origin: Point = Point(0.0, 0.0)
     rp_modulus: int = 11
 

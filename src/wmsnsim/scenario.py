@@ -12,7 +12,9 @@ rather than on message wording.
 from __future__ import annotations
 
 import json
+from collections.abc import Collection
 from dataclasses import dataclass, field
+from enum import Enum
 
 from .engine import ChannelConfig, EnergyCosts
 from .geometry import GridSpec, Point, Sector
@@ -84,7 +86,7 @@ class _Reader:
     def flag(self, code: str, path: str, message: str) -> None:
         self.issues.append(Issue(code, path, message))
 
-    def mapping(self, value, path: str, allowed: tuple[str, ...]) -> dict:
+    def mapping(self, value, path: str, allowed: Collection[str]) -> dict:
         if not isinstance(value, dict):
             self.flag("E_SCHEMA", path, f"expected an object, got {type(value).__name__}")
             return {}
@@ -159,49 +161,105 @@ class _Reader:
         return Point(float(v[0]), float(v[1]))
 
 
-def _read_grid(r: _Reader, data: dict) -> GridSpec:
-    d = r.mapping(
-        data.get("grid", {}), "grid",
-        ("cell_width", "cell_height", "origin", "rp_modulus"),
-    )
-    width = r.num(d, "cell_width", "grid", default=100.0)
-    height = r.num(d, "cell_height", "grid", default=100.0)
-    origin = Point(0.0, 0.0)
-    if "origin" in d:
-        origin = r.point(d, "origin", "grid") or origin
-    modulus = r.integer(d, "rp_modulus", "grid", default=11)
-    if modulus is not None and modulus < 11:
-        r.flag("E_RP_MODULUS", "grid.rp_modulus", f"must be at least 11, got {modulus}")
-        modulus = 11
+def rp_modulus(r: _Reader, d: dict, key: str, path: str):
+    v = r.integer(d, key, path)
+    if v is not None and v < 11:
+        r.flag("E_RP_MODULUS", f"{path}.{key}", f"must be at least 11, got {v}")
+        return None
+    return v
+
+
+def progress_mode(r: _Reader, d: dict, key: str, path: str):
+    name = r.text(d, key, path)
+    if name is None:
+        return None
     try:
-        return GridSpec(
-            cell_width=width, cell_height=height, origin=origin, rp_modulus=modulus
-        )
-    except (TypeError, ValueError) as exc:
-        r.flag("E_BAD_VALUE", "grid", str(exc))
-        return GridSpec(cell_width=100.0, cell_height=100.0)
+        return ProgressMode(name)
+    except ValueError:
+        r.flag("E_BAD_VALUE", f"{path}.{key}", f"unknown progress mode {name!r}")
+        return None
 
 
-def _read_layout(r: _Reader, data: dict) -> FrameLayout:
-    d = r.mapping(
-        data.get("frame", {}), "frame",
-        ("rp_slots", "cf_slots", "rp_slot_len_ms", "cf_slot_len_ms"),
-    )
+def hop_budget(r: _Reader, d: dict, key: str, path: str):
+    return r.integer(d, key, path, nullable=True)
+
+
+# The six config sections: section -> (its dataclass, key -> reader). A
+# reader is a _Reader method or a function of the same signature and returns
+# None for "use the dataclass default"; a (dataclass, readers) pair is a
+# nested section. Key order is the order to_dict writes.
+_SECTIONS = {
+    "grid": (GridSpec, {
+        "cell_width": _Reader.num,
+        "cell_height": _Reader.num,
+        "origin": _Reader.point,
+        "rp_modulus": rp_modulus,
+    }),
+    "frame": (FrameLayout, {
+        "rp_slots": _Reader.integer,
+        "cf_slots": _Reader.integer,
+        "rp_slot_len_ms": _Reader.num,
+        "cf_slot_len_ms": _Reader.num,
+    }),
+    "routing": (RouteConfig, {
+        "progress_mode": progress_mode,
+        "hop_budget": hop_budget,
+        "max_paths": _Reader.integer,
+        "deviation_mode": _Reader.boolean,
+        "deviation_angle": _Reader.num,
+    }),
+    "mac": (MacConfig, {
+        "slotting_enabled": _Reader.boolean,
+        "contention_window": _Reader.integer,
+        "backoff": (BackoffConfig, {
+            "base_window": _Reader.integer,
+            "max_window": _Reader.integer,
+            "max_retries": _Reader.integer,
+        }),
+    }),
+    "energy": (EnergyCosts, {
+        "tx": _Reader.num, "rx": _Reader.num, "idle": _Reader.num, "sleep": _Reader.num,
+    }),
+    "channel": (ChannelConfig, {"interference_multiplier": _Reader.num}),
+}
+# The Scenario attribute holding a section, where the two names differ.
+_ATTRS = {"frame": "layout"}
+
+
+def read(r: _Reader, value, path: str, cls, readers: dict):
+    """Build one section; a value its dataclass rejects flags the section
+    and yields the defaults."""
+    d = r.mapping(value, path, readers)
     kw = {}
-    for key, conv in (
-        ("rp_slots", r.integer),
-        ("cf_slots", r.integer),
-        ("rp_slot_len_ms", r.num),
-        ("cf_slot_len_ms", r.num),
-    ):
-        v = conv(d, key, "frame")
+    for key, reader in readers.items():
+        if key not in d:
+            continue
+        if isinstance(reader, tuple):
+            v = read(r, d[key], f"{path}.{key}", *reader)
+        else:
+            v = reader(r, d, key, path)
         if v is not None:
             kw[key] = v
     try:
-        return FrameLayout(**kw)
+        return cls(**kw)
     except (TypeError, ValueError) as exc:
-        r.flag("E_BAD_VALUE", "frame", str(exc))
-        return FrameLayout()
+        r.flag("E_BAD_VALUE", path, str(exc))
+        return cls()
+
+
+def dump(obj, readers: dict) -> dict:
+    """Inverse of read, suitable for json.dump."""
+    out = {}
+    for key, reader in readers.items():
+        v = getattr(obj, key)
+        if isinstance(reader, tuple):
+            v = dump(v, reader[1])
+        elif isinstance(v, Enum):
+            v = v.value
+        elif isinstance(v, Point):
+            v = [v.x, v.y]
+        out[key] = v
+    return out
 
 
 def _read_station(r: _Reader, item, path: str) -> Station | None:
@@ -350,97 +408,9 @@ def _read_fault(r: _Reader, item, path: str, stations: dict[int, Station]) -> Fa
     return FaultSpec(kind=kind, frame=frame, sender=sender) if ok else None
 
 
-def _read_routing(r: _Reader, data: dict) -> RouteConfig:
-    d = r.mapping(
-        data.get("routing", {}), "routing",
-        ("progress_mode", "hop_budget", "max_paths", "deviation_mode", "deviation_angle"),
-    )
-    kw = {}
-    mode_name = r.text(d, "progress_mode", "routing")
-    if mode_name is not None:
-        try:
-            kw["progress_mode"] = ProgressMode(mode_name)
-        except ValueError:
-            r.flag(
-                "E_BAD_VALUE", "routing.progress_mode",
-                f"unknown progress mode {mode_name!r}",
-            )
-    v = r.integer(d, "hop_budget", "routing", nullable=True)
-    if v is not None:
-        kw["hop_budget"] = v
-    for key, conv in (("max_paths", r.integer), ("deviation_angle", r.num)):
-        v = conv(d, key, "routing")
-        if v is not None:
-            kw[key] = v
-    v = r.boolean(d, "deviation_mode", "routing")
-    if v is not None:
-        kw["deviation_mode"] = v
-    try:
-        return RouteConfig(**kw)
-    except (TypeError, ValueError) as exc:
-        r.flag("E_BAD_VALUE", "routing", str(exc))
-        return RouteConfig()
-
-
-def _read_mac(r: _Reader, data: dict) -> MacConfig:
-    d = r.mapping(
-        data.get("mac", {}), "mac",
-        ("slotting_enabled", "contention_window", "backoff"),
-    )
-    kw = {}
-    v = r.boolean(d, "slotting_enabled", "mac")
-    if v is not None:
-        kw["slotting_enabled"] = v
-    v = r.integer(d, "contention_window", "mac")
-    if v is not None:
-        kw["contention_window"] = v
-    if "backoff" in d:
-        bd = r.mapping(d["backoff"], "mac.backoff", ("base_window", "max_window", "max_retries"))
-        bkw = {}
-        for key in ("base_window", "max_window", "max_retries"):
-            bv = r.integer(bd, key, "mac.backoff")
-            if bv is not None:
-                bkw[key] = bv
-        try:
-            kw["backoff"] = BackoffConfig(**bkw)
-        except (TypeError, ValueError) as exc:
-            r.flag("E_BAD_VALUE", "mac.backoff", str(exc))
-    try:
-        return MacConfig(**kw)
-    except (TypeError, ValueError) as exc:
-        r.flag("E_BAD_VALUE", "mac", str(exc))
-        return MacConfig()
-
-
-def _read_energy(r: _Reader, data: dict) -> EnergyCosts:
-    d = r.mapping(data.get("energy", {}), "energy", ("tx", "rx", "idle", "sleep"))
-    kw = {}
-    for key in ("tx", "rx", "idle", "sleep"):
-        v = r.num(d, key, "energy")
-        if v is not None:
-            kw[key] = v
-    try:
-        return EnergyCosts(**kw)
-    except (TypeError, ValueError) as exc:
-        r.flag("E_BAD_VALUE", "energy", str(exc))
-        return EnergyCosts()
-
-
-def _read_channel(r: _Reader, data: dict) -> ChannelConfig:
-    d = r.mapping(data.get("channel", {}), "channel", ("interference_multiplier",))
-    kw = {}
-    v = r.num(d, "interference_multiplier", "channel")
-    if v is not None:
-        kw["interference_multiplier"] = v
-    try:
-        return ChannelConfig(**kw)
-    except (TypeError, ValueError) as exc:
-        r.flag("E_BAD_VALUE", "channel", str(exc))
-        return ChannelConfig()
-
-
+# In the order to_dict writes them.
 _TOP_KEYS = (
-    "stations", "grid", "frame", "flows", "faults", "horizon_frames",
+    "grid", "frame", "horizon_frames", "stations", "flows", "faults",
     "routing", "mac", "energy", "channel",
 )
 
@@ -451,8 +421,17 @@ def from_dict(data: dict) -> Scenario:
     r = _Reader()
     data = r.mapping(data, "$", _TOP_KEYS)
 
-    grid = _read_grid(r, data)
-    layout = _read_layout(r, data)
+    cfg = {
+        _ATTRS.get(name, name): read(r, data.get(name, {}), name, *spec)
+        for name, spec in _SECTIONS.items()
+    }
+    if cfg["mac"].slotting_enabled and cfg["grid"].rp_modulus > cfg["layout"].rp_slots:
+        # rp_slot_of would hand some cells a slot the frame never plays
+        r.flag(
+            "E_RP_MODULUS", "grid.rp_modulus",
+            f"{cfg['grid'].rp_modulus} exceeds frame.rp_slots "
+            f"{cfg['layout'].rp_slots} while slotting is enabled",
+        )
     horizon = r.integer(data, "horizon_frames", "$", default=100)
     if horizon is not None and horizon < 1:
         r.flag("E_BAD_VALUE", "$.horizon_frames", "must be at least 1")
@@ -509,25 +488,15 @@ def from_dict(data: dict) -> Scenario:
         if fs is not None:
             faults.append(fs)
 
-    routing = _read_routing(r, data)
-    mac = _read_mac(r, data)
-    energy = _read_energy(r, data)
-    channel = _read_channel(r, data)
-
     if r.issues:
         raise ScenarioError(r.issues)
 
     return Scenario(
         stations=tuple(stations),
-        grid=grid,
-        layout=layout,
         flows=tuple(flows),
         faults=tuple(faults),
         horizon_frames=horizon,
-        routing=routing,
-        mac=mac,
-        energy=energy,
-        channel=channel,
+        **cfg,
     )
 
 
@@ -547,48 +516,15 @@ def parse_scenario(path: str) -> Scenario:
 def to_dict(sc: Scenario) -> dict:
     """Inverse of from_dict, suitable for json.dump."""
     out: dict = {
-        "grid": {
-            "cell_width": sc.grid.cell_width,
-            "cell_height": sc.grid.cell_height,
-            "origin": [sc.grid.origin.x, sc.grid.origin.y],
-            "rp_modulus": sc.grid.rp_modulus,
-        },
-        "frame": {
-            "rp_slots": sc.layout.rp_slots,
-            "cf_slots": sc.layout.cf_slots,
-            "rp_slot_len_ms": sc.layout.rp_slot_len_ms,
-            "cf_slot_len_ms": sc.layout.cf_slot_len_ms,
-        },
-        "horizon_frames": sc.horizon_frames,
-        "stations": [],
-        "flows": [],
-        "faults": [
-            {"kind": f.kind, "frame": f.frame, "sender": f.sender} for f in sc.faults
-        ],
-        "routing": {
-            "progress_mode": sc.routing.progress_mode.value,
-            "hop_budget": sc.routing.hop_budget,
-            "max_paths": sc.routing.max_paths,
-            "deviation_mode": sc.routing.deviation_mode,
-            "deviation_angle": sc.routing.deviation_angle,
-        },
-        "mac": {
-            "slotting_enabled": sc.mac.slotting_enabled,
-            "contention_window": sc.mac.contention_window,
-            "backoff": {
-                "base_window": sc.mac.backoff.base_window,
-                "max_window": sc.mac.backoff.max_window,
-                "max_retries": sc.mac.backoff.max_retries,
-            },
-        },
-        "energy": {
-            "tx": sc.energy.tx,
-            "rx": sc.energy.rx,
-            "idle": sc.energy.idle,
-            "sleep": sc.energy.sleep,
-        },
-        "channel": {"interference_multiplier": sc.channel.interference_multiplier},
+        name: dump(getattr(sc, _ATTRS.get(name, name)), readers)
+        for name, (_, readers) in _SECTIONS.items()
     }
+    out["horizon_frames"] = sc.horizon_frames
+    out["stations"] = []
+    out["flows"] = []
+    out["faults"] = [
+        {"kind": f.kind, "frame": f.frame, "sender": f.sender} for f in sc.faults
+    ]
     for s in sc.stations:
         d: dict = {
             "id": s.id,
@@ -618,4 +554,4 @@ def to_dict(sc: Scenario) -> dict:
                 "stop_frame": f.stop_frame,
             }
         )
-    return out
+    return {key: out[key] for key in _TOP_KEYS}

@@ -434,3 +434,24 @@ def test_per_frame_checks_run_only_after_a_change(monkeypatch):
     assert rep.rt_consistency.checked > 0 and 0 < len(changed) < 30
     assert len(calls) == 3
     assert max(calls.values()) <= len(changed) + 1
+
+
+def test_footprints_are_built_only_for_claiming_transmitters(monkeypatch):
+    # same grid-6 pin scenario: only a station that claims a transmit slot
+    # has its footprint tested against the other cluster heads
+    sc, sim, trace = clean_run(
+        helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=60, rf=200.0)
+    )
+    calls = [0]
+    real = audit_mod.sector_contains
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(audit_mod, "sector_contains", counted)
+    audit(sim, sc, trace)
+    claimers = {e["detail"]["tx"] for e in trace if e["event"] == "rt_insert"}
+    others = len(sim.net.cluster_heads()) - 1
+    assert 0 < calls[0] <= len(claimers) * others
+    assert len(claimers) * others < (others + 1) * others
