@@ -7,13 +7,15 @@ source-sink reference line wins. The flood is breadth-first with
 candidates visited in ascending station id, so it returns arrivals
 ordered by hop count, then lexicographically by hop sequence.
 
-Discovery sends no probes in either progress mode: it enumerates the
-simple source-sink paths of the forwarding relation in the flood's order
-and returns exactly the flood's first `max_paths` arrivals. Its work is
-at most one beam test per station pair plus a depth-first walk pruned by
-which hop counts can still reach the sink. The per-hop probe API
-(`make_probe`, `forward_probe`, `next_hop_candidates`) states the same
-forwarding rule for one holder at a time.
+A hop follows a data link (`Network.data_links`: inside the holder's
+beam and in mutual radio range). Discovery sends no probes in either
+progress mode: it enumerates the simple source-sink paths of the
+forwarding relation in the flood's order and returns exactly the flood's
+first `max_paths` arrivals. Its work is one read of each relay's data
+links plus a depth-first walk pruned by which hop counts can still reach
+the sink. The per-hop probe API (`make_probe`, `forward_probe`,
+`next_hop_candidates`) takes its successors from the same rule, one
+holder at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import islice
 
 from .geometry import (
@@ -33,7 +34,9 @@ from .geometry import (
     distance,
     point_to_line_distance,
 )
-from .topology import Network, NotClusterHeadError, StationKind, fso_can_transmit
+from .topology import Network, StationKind
+# not called here: perfbench/tracing.py wraps routing.fso_can_transmit
+from .topology import fso_can_transmit  # noqa: F401
 
 DEFAULT_MAX_PATHS = 16
 
@@ -161,15 +164,12 @@ def next_hop_candidates(
 ) -> list[int]:
     """Stations the probe may be forwarded to, ascending id.
 
-    A candidate must sit inside the holder's beam, make progress toward
+    A candidate must be a data link of the holder, make progress toward
     the sink, not already be on the path, and fit the hop budget. Only
-    cluster heads relay; the sink itself is always a legal target.
+    cluster heads relay; the sink itself is always a legal target. A
+    holder that is no cluster head raises NotClusterHeadError.
     """
-    if net.station(holder).kind is not StationKind.CLUSTER_HEAD:
-        raise NotClusterHeadError(f"probe holder {holder} cannot transmit")
-    if probe.hop_count >= probe.hop_budget:
-        return []
-    dist, relays, reference = _hop_rule(
+    _, successors = _forwarding_rule(
         net,
         probe.source,
         probe.sink,
@@ -177,15 +177,10 @@ def next_hop_candidates(
         deviation_mode,
         probe.deviation_angle,
     )
-    limit = reference(holder)
-    return [
-        w
-        for w in relays
-        if w != holder
-        and w not in probe.path
-        and dist[w] < limit
-        and fso_can_transmit(net, holder, w)
-    ]
+    succ = successors(holder)
+    if probe.hop_count >= probe.hop_budget:
+        return []
+    return [w for w in succ if w not in probe.path]
 
 
 def _forwarding_rule(
@@ -195,38 +190,36 @@ def _forwarding_rule(
     progress_mode: ProgressMode,
     deviation_mode: bool,
     deviation_angle: float,
-) -> tuple[dict[int, float], tuple[int, ...], Callable[[int], float]]:
-    """Who may relay a probe from `source`, and the progress each hop needs.
+) -> tuple[dict[int, float], Callable[[int], list[int]]]:
+    """Who may relay a probe from `source`, and whom each holder may pass it to.
 
-    Returns each cluster head's and the sink's distance to the sink; the
-    stations that may follow the source (cluster heads and the sink,
-    closer to the sink than the source and, with `deviation_mode`, inside
-    the corridor), in ascending id; and, per holder, the distance to the
-    sink its next hop must beat: the holder's own in GREEDY mode, the
-    source's in LITERAL mode.
+    Returns the relays, the stations that may follow the source (cluster
+    heads and the sink, closer to the sink than the source and, with
+    `deviation_mode`, inside the corridor), in ascending id, each with its
+    distance to the sink; and a holder's successors: its data links among
+    the relays that beat the distance to the sink the hop needs, the
+    holder's own in GREEDY mode, the source's in LITERAL mode.
     """
     sink_pos = net.station(sink).position
     src_pos = net.station(source).position
     axis = bearing(src_pos, sink_pos)
     bound = distance(src_pos, sink_pos)
-    dist = {}
-    relays = []
+    relays = {}
     for st in net.stations():  # ascending id
         if st.kind is StationKind.CLUSTER_HEAD or st.id == sink:
-            d = dist[st.id] = distance(st.position, sink_pos)
+            d = distance(st.position, sink_pos)
             if d < bound and (
                 not deviation_mode
                 or _in_corridor(st.position, src_pos, axis, deviation_angle)
             ):
-                relays.append(st.id)
-    if progress_mode is ProgressMode.GREEDY:
-        return dist, tuple(relays), dist.__getitem__
-    return dist, tuple(relays), lambda holder: bound
+                relays[st.id] = d
+    greedy = progress_mode is ProgressMode.GREEDY
 
+    def successors(holder: int) -> list[int]:
+        limit = distance(net.station(holder).position, sink_pos) if greedy else bound
+        return [w for w in net.data_links(holder) if w in relays and relays[w] < limit]
 
-# a flood asks the per-hop API once per hop with the same arguments; one
-# entry spares it rebuilding the rule at every hop. Networks are immutable.
-_hop_rule = lru_cache(maxsize=1)(_forwarding_rule)
+    return relays, successors
 
 
 def _in_corridor(pos: Point, src_pos: Point, axis: float, angle: float) -> bool:
@@ -270,20 +263,12 @@ def _enumerate_paths(
     """Simple source-sink paths of the forwarding relation, by hop count,
     then lexicographically, up to the probe's hop budget."""
     source, sink = probe.source, probe.sink
-    dist, relays, reference = _forwarding_rule(
+    relays, successors = _forwarding_rule(
         net, source, sink, progress_mode, deviation_mode, probe.deviation_angle
     )
     nodes = [source, *relays]
     # an arrival at the sink ends the probe, so the sink never transmits
-    succ = {sink: []}
-    for v in nodes:
-        if v != sink:
-            limit = reference(v)
-            succ[v] = [
-                w
-                for w in relays
-                if w != v and dist[w] < limit and fso_can_transmit(net, v, w)
-            ]
+    succ = {v: [] if v == sink else successors(v) for v in nodes}
     top = min(probe.hop_budget, len(nodes) - 1)
     # bit j of reach[v] is set iff some walk of exactly j <= top hops
     # leads from v to the sink. Every simple path is a walk, so a clear
@@ -292,7 +277,7 @@ def _enumerate_paths(
     # sink, so ascending distance settles it in one pass.
     mask = (1 << top + 1) - 1
     reach = {v: int(v == sink) for v in nodes}
-    order = sorted(nodes, key=dist.__getitem__)
+    order = sorted(relays, key=relays.__getitem__) + [source]  # the source is farthest
     changed = True
     while changed:
         changed = False

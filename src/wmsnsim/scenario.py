@@ -12,6 +12,7 @@ rather than on message wording.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,7 +22,7 @@ from .geometry import GridSpec, Point, Sector
 from .mac import BackoffConfig, FrameLayout, MacConfig, MsgKind
 from .routing import ProgressMode, RouteConfig
 from .topology import Network, Station, StationKind
-from .traffic import SERVICE_CLASSES, Flow, ServiceMode
+from .traffic import SERVICE_CLASSES, Flow, ServiceMode, class_rule_breaches
 
 FAULT_KINDS = tuple(m.value for m in MsgKind)
 
@@ -77,6 +78,17 @@ class Scenario:
         return Network(self.stations, sink=self.sink, grid_spec=self.grid)
 
 
+def _finite(v) -> bool:
+    """A JSON number that is a finite float: not NaN or an infinity, which
+    json.load also accepts, nor an integer past float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 class _Reader:
     """One validation pass's shared state."""
 
@@ -101,7 +113,7 @@ class _Reader:
                 self.flag("E_SCHEMA", f"{path}.{key}", "missing required key")
             return default
         v = d[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _finite(v):
             self.flag("E_BAD_VALUE", f"{path}.{key}", f"expected a number, got {v!r}")
             return default
         return v
@@ -154,7 +166,7 @@ class _Reader:
         if (
             not isinstance(v, (list, tuple))
             or len(v) != 2
-            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)
+            or not all(_finite(c) for c in v)
         ):
             self.flag("E_SCHEMA", f"{path}.{key}", "expected [x, y] coordinates")
             return None
@@ -306,6 +318,10 @@ def _read_station(r: _Reader, item, path: str) -> Station | None:
         return None
 
 
+# The issue code for a breach of each class rule, by the flow field it names.
+_CLASS_RULE_CODES = {"rate_bps": "E_RATE_OUT_OF_CLASS", "mode": "E_BAD_SERVICE_MODE"}
+
+
 def _read_flow(r: _Reader, item, path: str, stations: dict[int, Station]) -> Flow | None:
     d = r.mapping(
         item, path,
@@ -338,6 +354,7 @@ def _read_flow(r: _Reader, item, path: str, stations: dict[int, Station]) -> Flo
         mode = ServiceMode(mode_name)
     except ValueError:
         r.flag("E_BAD_SERVICE_MODE", f"{path}.mode", f"unknown mode {mode_name!r}")
+        mode = None
         ok = False
 
     for end, key in ((src, "src"), (dst, "dst")):
@@ -355,21 +372,10 @@ def _read_flow(r: _Reader, item, path: str, stations: dict[int, Station]) -> Flo
             if stations[dst].kind is StationKind.SENSOR_NODE:
                 r.flag("E_FLOW_ENDPOINTS", f"{path}.dst", "sensors cannot terminate a flow")
                 ok = False
-    if service is not None and not (
-        service.bandwidth_min <= rate <= service.bandwidth_max
-    ):
-        r.flag(
-            "E_RATE_OUT_OF_CLASS", f"{path}.rate_bps",
-            f"{rate} outside {service.name} range "
-            f"[{service.bandwidth_min}, {service.bandwidth_max}]",
-        )
-        ok = False
-    if service is not None and not service.real_time and mode is not ServiceMode.NONE:
-        r.flag(
-            "E_BAD_SERVICE_MODE", f"{path}.mode",
-            f"{service.name} is not real-time; mode must be none",
-        )
-        ok = False
+    if service is not None:
+        for key, message in class_rule_breaches(service, mode, rate):
+            r.flag(_CLASS_RULE_CODES[key], f"{path}.{key}", message)
+            ok = False
     if not ok:
         return None
     try:

@@ -9,10 +9,10 @@ traffic sources attached to their nearest cluster head (attach_point).
 
 Positions never change, so `Network` answers every link question from
 one lazily filled index: `rf_reach` (who hears a station's radio),
-`beam` (whom a cluster head's laser hits) and `rf_hops` (radio hop
-counts over mutual range). Both reach relations take a `scale` that
-widens the range to an interference footprint. The helper functions
-below are reads of that index.
+`beam` (whom a cluster head's laser hits), `data_links` (whom it can
+send data to) and `rf_hops` (radio hop counts over mutual range). Both
+reach relations take a `scale` that widens the range to an interference
+footprint. The helper functions below are reads of that index.
 """
 
 from __future__ import annotations
@@ -89,6 +89,7 @@ class Network:
         self.grid_spec = grid_spec
         self._rf_reach: dict[tuple[int, float], frozenset[int]] = {}
         self._beam: dict[tuple[int, float], frozenset[int]] = {}
+        self._data_links: dict[int, tuple[int, ...]] = {}
         self._rf_hops: dict[int, dict[int, int]] = {}
 
     def station(self, sid: int) -> Station:
@@ -142,6 +143,22 @@ class Network:
                 if s.id != x and sector_contains(sector, s.position)
             )
         return hit
+
+    def data_links(self, x: int) -> tuple[int, ...]:
+        """Cluster heads inside cluster head x's beam and, for the
+        handshake, in mutual radio range, ascending id. The base station, on
+        dedicated uplinks with no radio contention, needs only the beam."""
+        links = self._data_links.get(x)
+        if links is None:
+            hit, heard = self.beam(x), self.rf_reach(x)
+            links = self._data_links[x] = tuple(
+                w
+                for w in sorted(hit)
+                if w == self.sink
+                or (self._stations[w].kind is StationKind.CLUSTER_HEAD
+                    and w in heard and x in self.rf_reach(w))
+            )
+        return links
 
     def rf_hops(self, a: int) -> dict[int, int]:
         """Radio hop count from a to every station it can reach, by one BFS.

@@ -81,6 +81,21 @@ def service_class(name: str) -> ServiceClass:
         raise UnknownServiceClassError(name) from None
 
 
+def class_rule_breaches(
+    service: ServiceClass, mode: ServiceMode | None, rate_bps: float
+) -> list[tuple[str, str]]:
+    """(flow field, message) for each class rule a flow breaks: its rate
+    must lie inside the class's bandwidth band, and a datagram class takes
+    no service mode. A mode of None is unknown and not checked."""
+    out = []
+    lo, hi = service.bandwidth_min, service.bandwidth_max
+    if not lo <= rate_bps <= hi:
+        out.append(("rate_bps", f"{rate_bps} outside {service.name} range [{lo}, {hi}]"))
+    if mode not in (None, ServiceMode.NONE) and not service.real_time:
+        out.append(("mode", f"{service.name} is not real-time; mode must be none"))
+    return out
+
+
 @dataclass(frozen=True)
 class Flow:
     id: int
@@ -96,13 +111,9 @@ class Flow:
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
 
     def __post_init__(self):
-        if not self.service.bandwidth_min <= self.rate_bps <= self.service.bandwidth_max:
-            raise ValueError(
-                f"flow {self.id}: rate {self.rate_bps} outside class "
-                f"{self.service.name} bounds"
-            )
-        if self.mode is not ServiceMode.NONE and not self.service.real_time:
-            raise ValueError(f"flow {self.id}: service mode on a datagram class")
+        breaches = class_rule_breaches(self.service, self.mode, self.rate_bps)
+        if breaches:
+            raise ValueError(f"flow {self.id}: {breaches[0][1]}")
         if self.packet_size_bits < 1:
             raise ValueError("packet_size_bits must be >= 1")
         if self.burst_length < 1:

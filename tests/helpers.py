@@ -100,6 +100,12 @@ def grid_flows(n=5, count=3, rate=64000):
     ]
 
 
+def short_radio_grid(horizon=100):
+    """Grid-6 with six flows whose beams reach the 141 m diagonals but
+    whose radios reach only 120 m: a diagonal is no data link."""
+    return grid(6, flows=grid_flows(6, count=6), horizon=horizon, rf=120.0, reach=150.0)
+
+
 def hidden_terminal(horizon=60):
     """a and b sit in distant cells that share RP slot 5 (3*3+2*1+5 = 16
     = 5 mod 11), both within decode range of r but hidden from each

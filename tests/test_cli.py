@@ -117,6 +117,15 @@ def test_route_lists_scored_paths(tmp_path, capsys):
         assert best.split()[0] == "-".join(map(str, chosen.path.hops))
 
 
+def test_route_reports_flows_with_no_data_link_path(tmp_path, capsys):
+    path = write_scenario(tmp_path, helpers.short_radio_grid())
+    assert main(["route", "--scenario", path]) == 1
+    outp = capsys.readouterr().out
+    unrouted = {f"flow {k}: no route from {6 * (k - 1)} to 100" for k in (1, 2, 6)}
+    assert {line for line in outp.splitlines() if "no route" in line} == unrouted
+    assert "flow 3: 12 -> 100" in outp
+
+
 def dogleg():
     # one intermediate sits off the source-sink line: hopping to it moves
     # away from the sink in straight-line distance but still advances the
@@ -186,6 +195,29 @@ def test_validate_ok_and_failure(tmp_path, capsys):
     outp = capsys.readouterr().out
     assert "E_RP_MODULUS" in outp and "E_UNKNOWN_CLASS" in outp
     assert "2 problem(s) found" in outp
+
+
+def test_validate_reports_non_finite_numbers_and_bad_modes(tmp_path, capsys):
+    # each passed validate and then made Simulation raise, or raised inside
+    # validate itself
+    cases = [
+        (("grid", "cell_width"), math.nan, "E_BAD_VALUE at grid.cell_width"),
+        (("channel", "interference_multiplier"), math.nan,
+         "E_BAD_VALUE at channel.interference_multiplier"),
+        (("stations", 1, "position"), [math.nan, 50.0], "E_SCHEMA at stations[1].position"),
+        (("flows", 2, "mode"), "bogus", "E_BAD_SERVICE_MODE at flows[2].mode"),
+    ]
+    for (*parents, last), value, want in cases:
+        data = helpers.mixed_traffic()
+        target = data
+        for part in parents:
+            target = target[part] if isinstance(target, list) else target.setdefault(part, {})
+        target[last] = value
+        path = write_scenario(tmp_path, data)  # json writes NaN as NaN
+        assert main(["validate", "--scenario", path]) == 1
+        outp = capsys.readouterr().out
+        assert want in outp
+        assert "1 problem(s) found" in outp
 
 
 def test_missing_file_and_bad_usage_exit_one(tmp_path, capsys):

@@ -340,6 +340,26 @@ def test_unroutable_flow_drops_everything():
     assert drops and all(e["detail"]["reason"] == "unrouted" for e in drops)
 
 
+def test_routes_follow_data_links_only():
+    # routes over the diagonals delivered 0 of 474 packets, all audits passing
+    sim = Simulation(from_dict(helpers.short_radio_grid()), seed=0)
+    report, trace = sim.run()
+    unrouted = set()
+    for e in events(trace, "route"):
+        if e["detail"].get("unrouted"):
+            unrouted.add(e["detail"]["flow"])
+            continue
+        hops = e["detail"]["path"]
+        for a, b in zip(hops, hops[1:]):
+            assert b in sim.net.data_links(a)
+    assert unrouted == {1, 2, 6}
+    assert sum(fs.delivered for fs in report.flows.values()) == 228
+    assert sum(fs.generated for fs in report.flows.values()) == 474
+    assert report.trace_digest == (
+        "03034d7e38e6cd3e186cf5506381e3728d63968a1ff2bb7a879c41d96157e19a"
+    )
+
+
 def test_semi_bonded_clean_run_has_no_gaps():
     data = helpers.two_hop(mode="semi_bonded", horizon=60)
     report, _ = run(data)

@@ -6,7 +6,6 @@ from collections import deque
 
 import pytest
 
-from wmsnsim import routing
 from wmsnsim import (
     EmptyPathSetError,
     GridSpec,
@@ -206,7 +205,10 @@ def test_route_config_validation():
         RouteConfig(deviation_angle=0.0)
 
 
-def random_net(rng):
+def random_net(rng, draw_rf=False):
+    """4 to 12 cluster heads with random beams and a sink in a 300 m
+    square. Radios reach 1000 m, past every station, unless draw_rf
+    draws each one's range too."""
     n = rng.randint(4, 12)
     stations = []
     for i in range(n):
@@ -217,7 +219,7 @@ def random_net(rng):
                 id=i,
                 kind=StationKind.CLUSTER_HEAD,
                 position=Point(x, y),
-                rf_range=1000.0,
+                rf_range=rng.uniform(80, 260) if draw_rf else 1000.0,
                 sector=Sector(
                     Point(x, y),
                     theta=rng.uniform(0, TWO_PI),
@@ -230,8 +232,9 @@ def random_net(rng):
     return Network(stations, sink=99, grid_spec=GRID)
 
 
-def oracle_paths(net, source, sink, budget, mode):
-    """Exhaustive DFS with the forwarding rule restated from scratch."""
+def oracle_paths(net, source, sink, budget, mode, radio=True):
+    """Exhaustive DFS with the forwarding rule restated from scratch. With
+    radio, a hop to a cluster head also needs mutual radio range."""
     sink_pos = net.station(sink).position
     src_pos = net.station(source).position
     out = []
@@ -249,6 +252,8 @@ def oracle_paths(net, source, sink, budget, mode):
                 st.position.y - holder_st.position.y,
             )
             if d > holder_st.sector.range:
+                continue
+            if radio and st.id != sink and d > min(holder_st.rf_range, st.rf_range):
                 continue
             if d > 0:
                 off = (
@@ -298,6 +303,20 @@ def test_collect_paths_matches_dfs_oracle():
         got = {p.hops for p in collect_paths(net, 0, 99, cfg)}
         want = oracle_paths(net, 0, 99, len(net.ids()), mode)
         assert got == want
+
+
+def test_collect_paths_matches_dfs_oracle_with_radio_range():
+    rng = random.Random(83)
+    range_cut = 0
+    for _ in range(60):
+        net = random_net(rng, draw_rf=True)
+        mode = rng.choice([ProgressMode.GREEDY, ProgressMode.LITERAL])
+        cfg = RouteConfig(progress_mode=mode, max_paths=10_000)
+        got = {p.hops for p in collect_paths(net, 0, 99, cfg)}
+        want = oracle_paths(net, 0, 99, len(net.ids()), mode)
+        assert got == want
+        range_cut += want != oracle_paths(net, 0, 99, len(net.ids()), mode, radio=False)
+    assert range_cut > 5  # the range test must actually remove paths
 
 
 def test_discover_picks_global_minimum():
@@ -405,22 +424,24 @@ def grid_net(k):
 @pytest.mark.parametrize("mode", list(ProgressMode))
 def test_discovery_work_is_bounded_on_grid12(monkeypatch, mode):
     # the probe flood made over half a million beam tests per flow on the
-    # 10 x 10 grid in either mode, and more on this one
+    # 10 x 10 grid in either mode, and more on this one; discovery now
+    # examines each relay's data links once
     net = grid_net(12)
     n = len(net.ids())
-    calls = 0
-    beam_test = routing.fso_can_transmit
+    examined = 0
+    data_links = net.data_links
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return beam_test(*args)
+    def counted(x):
+        nonlocal examined
+        links = data_links(x)
+        examined += len(links)
+        return links
 
-    monkeypatch.setattr(routing, "fso_can_transmit", counted)
+    monkeypatch.setattr(net, "data_links", counted)
     for gy in range(12):
-        calls = 0
+        examined = 0
         paths = collect_paths(net, 12 * gy, 1000, RouteConfig(progress_mode=mode))
-        assert calls <= n * n
+        assert 0 < examined <= n * n
         assert len(paths) == RouteConfig().max_paths
         assert paths == sorted(paths, key=lambda p: (p.hop_count, p.hops))
         assert len({p.hops for p in paths}) == len(paths)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,21 @@ def test_schema_type_errors():
     d["horizon_frames"] = "twenty"
     d["stations"][0]["position"] = [1.0]
     expect(d, "E_SCHEMA")
+
+
+def test_non_finite_station_numbers_are_flagged():
+    # json.load reads NaN and Infinity; a NaN position once raised a bare
+    # ValueError out of from_dict
+    d = helpers.two_hop()
+    d["stations"][1]["position"] = [math.nan, 50.0]
+    d["stations"][0]["rf_range"] = math.inf
+    d["stations"][2]["rf_range"] = 10**400  # past float range
+    issues = expect(d, "E_SCHEMA", "E_BAD_VALUE")
+    assert {(i.code, i.path) for i in issues} == {
+        ("E_SCHEMA", "stations[1].position"),
+        ("E_BAD_VALUE", "stations[0].rf_range"),
+        ("E_BAD_VALUE", "stations[2].rf_range"),
+    }
 
 
 def test_rp_modulus_floor():
@@ -130,6 +146,12 @@ def test_flow_class_mode_and_endpoint_rules():
     d = helpers.two_hop()
     d["flows"][0].update({"class": "ABR", "mode": "bonded", "rate_bps": 2_000_000})
     expect(d, "E_BAD_SERVICE_MODE")
+
+    # an unknown mode on a datagram class is one issue, not a crash
+    d = helpers.mixed_traffic()
+    d["flows"][2]["mode"] = "bogus"
+    issues = expect(d, "E_BAD_SERVICE_MODE")
+    assert [(i.code, i.path) for i in issues] == [("E_BAD_SERVICE_MODE", "flows[2].mode")]
 
     d = helpers.two_hop()
     d["flows"][0]["src"] = 77
@@ -239,10 +261,12 @@ def test_readme_scenario_sections_round_trip_unchanged():
 BAD_CONFIG_CASES = [
     ("grid.cell_width", "wide", {("E_BAD_VALUE", "grid.cell_width")}),
     ("grid.cell_width", 0, {("E_BAD_VALUE", "grid")}),
+    ("grid.cell_width", math.nan, {("E_BAD_VALUE", "grid.cell_width")}),
     ("grid.cell_height", True, {("E_BAD_VALUE", "grid.cell_height")}),
     ("grid.cell_height", -5.0, {("E_BAD_VALUE", "grid")}),
     ("grid.origin", [1.0], {("E_SCHEMA", "grid.origin")}),
     ("grid.origin", "here", {("E_SCHEMA", "grid.origin")}),
+    ("grid.origin", [0.0, math.inf], {("E_SCHEMA", "grid.origin")}),
     ("grid.rp_modulus", 11.5, {("E_BAD_VALUE", "grid.rp_modulus")}),
     ("grid.rp_modulus", 9, {("E_RP_MODULUS", "grid.rp_modulus")}),
     ("grid.bogus", 1, {("E_UNKNOWN_KEY", "grid.bogus")}),
@@ -285,6 +309,8 @@ BAD_CONFIG_CASES = [
     ("channel.interference_multiplier", "2",
      {("E_BAD_VALUE", "channel.interference_multiplier")}),
     ("channel.interference_multiplier", 0.5, {("E_BAD_VALUE", "channel")}),
+    ("channel.interference_multiplier", math.nan,
+     {("E_BAD_VALUE", "channel.interference_multiplier")}),
     ("channel.bogus", 1, {("E_UNKNOWN_KEY", "channel.bogus")}),
 ] + [(section, [1], {("E_SCHEMA", section)}) for section in CONFIG_SECTIONS]
 

@@ -135,6 +135,27 @@ def test_fso_is_directional_and_asymmetric():
         fso_can_transmit(net, 9, 2)
 
 
+def test_data_links_need_the_beam_and_mutual_radio_range():
+    net = make_net(
+        [
+            make_ch(0, 0, 0, reach=15, rf=10),  # beams east
+            make_ch(1, 8, 0, rf=5),  # 0 hears 1, but 1 does not reach 0
+            make_ch(3, 12, 1, rf=20),  # outside 0's radio range
+            make_ch(4, 6, -2, rf=10),
+            make_sensor(5, 3, 0),  # in range, but sensors relay nothing
+            make_bs(9, 14, 0),  # outside 0's radio range, but exempt
+        ],
+        sink=9,
+    )
+    assert net.beam(0) == frozenset({1, 3, 4, 5, 9})
+    assert net.data_links(0) == (4, 9)
+    assert net.data_links(0) is net.data_links(0)  # cached
+    with pytest.raises(NotClusterHeadError):
+        net.data_links(5)
+    with pytest.raises(NotClusterHeadError):
+        net.data_links(9)
+
+
 def test_fso_matches_sector_oracle_on_random_layouts():
     rng = random.Random(57)
     for _ in range(60):
