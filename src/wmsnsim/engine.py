@@ -10,14 +10,19 @@ entries happens in sorted order.
 
 A run's work follows the protocol, not slots x stations. An RP slot
 asks only the cluster heads that own it whether to contend, and ends
-there when none does. A CF slot plays a slot -> [(station, own entry)]
-schedule that is rebuilt from the reservation tables only after one of
-them changed; it scans queues for missed deadlines only once the
-earliest queued deadline can have passed, and polls the optical uplink
-only at cluster heads that are some flow's last hop. Energy is counted
-as it is spent (sending, receiving, listening for a reserved packet);
-idle listening in the RP and sleep are booked in bulk at the end of the
-run. The frame boundary visits only tables that hold a datagram entry.
+there when none does. A CF slot plays its plan: the senders with their
+addressees and the listeners, built from the reservation tables only
+after one of them changed. The plan also keeps the slot's channel
+outcomes by the tuple of stations that actually sent, so with
+persistent reservations a slot resolves the channel once per plan, not
+once per frame. A CF slot's start is the frame's first CF slot start,
+taken once per frame, plus a per-slot offset. A slot scans queues for
+missed deadlines only once the earliest queued deadline can have
+passed, and polls the optical uplink only at cluster heads that are
+some flow's last hop. Energy is counted as it is spent (sending,
+receiving, listening for a reserved packet); idle listening in the RP
+and sleep are booked in bulk at the end of the run. The frame boundary
+visits only tables that hold a datagram entry.
 
 The simulation emits a structured event trace. Post-run audits
 (see audit.py) replay that trace against the topology to check the
@@ -56,7 +61,6 @@ from .mac import (
     MacConfig,
     MsgKind,
     NoFreeSlotsError,
-    ReservationEntry,
     ReservationKind,
     StationMac,
     my_rp_slot,
@@ -470,7 +474,11 @@ class Simulation:
         self.uplink_ids = [sid for sid in self.ch_ids if sid in to_sink]
 
         # built by _schedule(), dropped by every table change
-        self._cf_schedule: list[list[tuple[int, ReservationEntry]]] | None = None
+        self._cf_plan: list[tuple[list, frozenset, dict]] | None = None
+        # each CF slot's start, as an offset from the first one's: run()
+        # takes that once per frame, and the sum is the layout's own
+        self._cf_offset = [s * self.layout.cf_slot_len_ms for s in range(self.layout.cf_slots)]
+        self._cfp_start = 0.0
         self._datagram_tables: set[int] = set()  # stations holding a datagram entry
         self._rp_busy = dict.fromkeys(self.ch_ids, 0)  # RP slots sent or received in
 
@@ -522,7 +530,7 @@ class Simulation:
     # entries for the frame boundary.
 
     def _emit_insert(self, frame, slot, phase, sid, e):
-        self._cf_schedule = None
+        self._cf_plan = None
         if e.kind is ReservationKind.DATAGRAM:
             self._datagram_tables.add(sid)
         self._emit(
@@ -532,7 +540,7 @@ class Simulation:
         )
 
     def _emit_delete(self, frame, slot, phase, sid, e, reason):
-        self._cf_schedule = None
+        self._cf_plan = None
         self._emit(
             frame, slot, phase, sid, "rt_delete",
             slot_index=e.cf_slot, tx=e.tx, rx=e.rx, kind=e.kind._value_, reason=reason,
@@ -565,6 +573,7 @@ class Simulation:
             self._generate(frame)
             for r in range(self.layout.rp_slots):
                 self._rp_slot(frame, r)
+            self._cfp_start = self.layout.cf_slot_start_ms(frame, 0)
             for s in range(self.layout.cf_slots):
                 self._cf_slot(frame, s)
             self._end_frame(frame)
@@ -578,13 +587,13 @@ class Simulation:
         return self.horizon if flow.stop_frame is None else min(flow.stop_frame, self.horizon)
 
     def _generate(self, frame: int) -> None:
+        start = self.layout.frame_start_ms(frame)
+        end = self.layout.frame_start_ms(frame + 1)
         for fid in self.flow_ids:
             fr = self.flows[fid]
             flow = fr.flow
             if frame < flow.start_frame or frame >= self._flow_stop(flow):
                 continue
-            start = self.layout.frame_start_ms(frame)
-            end = self.layout.frame_start_ms(frame + 1)
             for pkt in fr.source.packets_for_window(start, end):
                 fr.records.append(pkt)
                 self._emit(
@@ -877,23 +886,53 @@ class Simulation:
 
     # -- contention-free period ----------------------------------------------
 
-    def _schedule(self) -> list[list[tuple[int, ReservationEntry]]]:
-        """CF slot -> [(station, its entry)] for every station that sends
-        or receives in that slot by its own table, in station order.
-        Tables change only in the RP and at the frame boundary, so this is
+    def _schedule(self) -> list[tuple[list[tuple[int, int]], frozenset[int], dict]]:
+        """CF slot -> (senders, listeners, outcomes), the slot's plan by
+        every station's own table: senders is [(station, addressee)] in
+        station order, listeners the stations that receive, and outcomes
+        starts empty for _cf_slot to keep channel outcomes in. Tables
+        change only in the RP and at the frame boundary, so this is
         rebuilt at most once per frame."""
-        if self._cf_schedule is None:
-            sched = [[] for _ in range(self.layout.cf_slots)]
+        if self._cf_plan is None:
+            slots = range(self.layout.cf_slots)
+            senders = [[] for _ in slots]
+            listeners = [[] for _ in slots]
             for sid in self.ch_ids:
                 for e in self.sts[sid].mac.rt.entries():
-                    if sid in (e.tx, e.rx):
-                        sched[e.cf_slot].append((sid, e))
-            self._cf_schedule = sched
-        return self._cf_schedule
+                    if e.tx == sid:
+                        senders[e.cf_slot].append((sid, e.rx))
+                    elif e.rx == sid:
+                        listeners[e.cf_slot].append(sid)
+            self._cf_plan = [
+                (senders[s], frozenset(listeners[s]), {}) for s in slots
+            ]
+        return self._cf_plan
+
+    def _resolve_data(self, sent, listeners) -> tuple[list, list]:
+        """The channel outcome of a CF slot in which the stations of `sent`
+        [(station, flow, packet, addressee)] send: ([(listener, index into
+        sent)] for each packet its addressee receives, [(listener, sorted
+        colliding senders)]), both in listener order. It depends only on
+        who sends under one plan, so _cf_slot keeps it in the plan."""
+        channel = [
+            Transmission(
+                sender=sid, payload=i,
+                comm=self.fso_comm[sid], interf=self.fso_intf[sid], to=to,
+            )
+            for i, (sid, _, _, to) in enumerate(sent)
+        ]
+        delivered, collisions = resolve_slot(channel, listeners)
+        # a lone packet addressed to another station is noise at a listener
+        return (
+            [(rho, t.payload) for rho, t in delivered.items() if t.to == rho],
+            sorted(collisions.items()),
+        )
 
     def _cf_slot(self, frame: int, s: int) -> None:
-        slot_start = self.layout.cf_slot_start_ms(frame, s)
-        slot_end = self.layout.cf_slot_end_ms(frame, s)
+        # the frame's first CF slot start, which run() sets, plus this
+        # slot's offset: the layout's own sum, bit for bit
+        slot_start = self._cfp_start + self._cf_offset[s]
+        slot_end = slot_start + self.layout.cf_slot_len_ms
 
         # deadlines are checked against the slot's end: a packet that
         # cannot complete its transmission in time is dropped, never sent.
@@ -907,13 +946,9 @@ class Simulation:
                 due = min(due, q.next_deadline)
             self._next_due = due
 
-        channel: list[Transmission] = []
-        slot_tx: set[int] = set()
-        listeners: set[int] = set()
-        for sid, e in self._schedule()[s]:
-            if e.rx == sid:
-                listeners.add(sid)
-                continue
+        senders, listeners, outcomes = self._schedule()[s]
+        sent = []
+        for sid, to in senders:
             st = self.sts[sid]
             fid = st.bindings.get(s)
             pkt = None
@@ -927,31 +962,24 @@ class Simulation:
                 )
                 continue
             st.queues[fid].pop()
-            slot_tx.add(sid)
-            channel.append(
-                Transmission(
-                    sender=sid, payload=(fid, pkt),
-                    comm=self.fso_comm[sid], interf=self.fso_intf[sid], to=e.rx,
-                )
-            )
-            self._emit(
-                frame, s, "CFP", sid, "data_tx", flow=fid, seq=pkt.seq, to=e.rx
-            )
+            sent.append((sid, fid, pkt, to))
+            self._emit(frame, s, "CFP", sid, "data_tx", flow=fid, seq=pkt.seq, to=to)
 
-        delivered, collisions = resolve_slot(channel, listeners)
-        for rho in sorted(collisions):
+        # the outcome is resolved once per set of senders under one plan
+        slot_tx = tuple(x[0] for x in sent)
+        outcome = outcomes.get(slot_tx)
+        if outcome is None:
+            outcome = outcomes[slot_tx] = self._resolve_data(sent, listeners)
+        delivered, collisions = outcome
+        for rho, colliding in collisions:
             self.data_collisions += 1
-            self._emit(frame, s, "CFP", rho, "data_collision", senders=collisions[rho])
-        # a lone packet addressed to another station is noise at a listener
-        delivered = {rho: t for rho, t in delivered.items() if t.to == rho}
+            self._emit(frame, s, "CFP", rho, "data_collision", senders=list(colliding))
 
-        got: set[tuple[int, int]] = set()
-        for rho in sorted(delivered):
-            fid, pkt = delivered[rho].payload
-            got.add((fid, pkt.seq))
-            self._emit(
-                frame, s, "CFP", rho, "data_rx", flow=fid, seq=pkt.seq, sender=delivered[rho].sender
-            )
+        heard = set()
+        for rho, i in delivered:
+            sid, fid, pkt, _ = sent[i]
+            heard.add(rho)
+            self._emit(frame, s, "CFP", rho, "data_rx", flow=fid, seq=pkt.seq, sender=sid)
             fr = self.flows[fid]
             if rho == fr.flow.dst:
                 pkt.delivered_ms = slot_end
@@ -961,15 +989,16 @@ class Simulation:
                 )
             else:
                 self._forward(frame, s, "CFP", rho, fid, pkt)
-        for t in channel:
-            fid, pkt = t.payload
-            if (fid, pkt.seq) not in got:
-                pkt.dropped = DropReason.COLLISION
-                self._drop(frame, s, "CFP", t.sender, pkt, "collision")
+        if len(delivered) < len(sent):
+            got = {i for _, i in delivered}
+            for i, (sid, fid, pkt, _) in enumerate(sent):
+                if i not in got:
+                    pkt.dropped = DropReason.COLLISION
+                    self._drop(frame, s, "CFP", sid, pkt, "collision")
 
         # cluster heads with nothing scheduled serve their polled optical
         # uplink: one buffered packet straight up per otherwise idle slot
-        uplink_tx: set[int] = set()
+        uplinked = False
         for sid in self.uplink_ids:
             if sid in slot_tx or sid in listeners:
                 continue
@@ -979,7 +1008,8 @@ class Simulation:
                 continue
             st.uplink.pop()
             pkt.delivered_ms = slot_end
-            uplink_tx.add(sid)
+            uplinked = True
+            self.meter.add(sid, "tx")
             self._emit(frame, s, "CFP", sid, "uplink_tx", flow=pkt.flow_id, seq=pkt.seq)
             self._emit(
                 frame, s, "CFP", self.sink, "data_delivered",
@@ -988,11 +1018,11 @@ class Simulation:
 
         # stations with no part in the slot sleep; that is booked at the
         # end of the run
-        for sid in slot_tx | uplink_tx:
+        for sid in slot_tx:
             self.meter.add(sid, "tx")
         for sid in listeners:
-            self.meter.add(sid, "rx" if sid in delivered else "idle")
-        if uplink_tx:
+            self.meter.add(sid, "rx" if sid in heard else "idle")
+        if uplinked:
             self.meter.add(self.sink, "rx")
 
     # -- frame boundary ---------------------------------------------------------

@@ -78,6 +78,13 @@ class Scenario:
         return Network(self.stations, sink=self.sink, grid_spec=self.grid)
 
 
+# Every integer a scenario holds is exact as a float, and a frame has at
+# most MAX_SLOTS slots of each kind, so every run that validates can be
+# played.
+MAX_INTEGER = 2**53
+MAX_SLOTS = 1024
+
+
 def _finite(v) -> bool:
     """A JSON number that is a finite float: not NaN or an infinity, which
     json.load also accepts, nor an integer past float range."""
@@ -139,6 +146,12 @@ class _Reader:
                 )
                 return default
             v = int(v)
+        if abs(v) > MAX_INTEGER:
+            self.flag(
+                "E_BAD_VALUE", f"{path}.{key}",
+                f"expected an integer within +-2**53, got one of {v.bit_length()} bits",
+            )
+            return default
         return v
 
     def text(self, d: dict, key: str, path: str, default=None, required=False):
@@ -171,6 +184,14 @@ class _Reader:
             self.flag("E_SCHEMA", f"{path}.{key}", "expected [x, y] coordinates")
             return None
         return Point(float(v[0]), float(v[1]))
+
+
+def slot_count(r: _Reader, d: dict, key: str, path: str):
+    v = r.integer(d, key, path)
+    if v is not None and v > MAX_SLOTS:
+        r.flag("E_BAD_VALUE", f"{path}.{key}", f"must be at most {MAX_SLOTS}, got {v}")
+        return None
+    return v
 
 
 def rp_modulus(r: _Reader, d: dict, key: str, path: str):
@@ -208,8 +229,8 @@ _SECTIONS = {
         "rp_modulus": rp_modulus,
     }),
     "frame": (FrameLayout, {
-        "rp_slots": _Reader.integer,
-        "cf_slots": _Reader.integer,
+        "rp_slots": slot_count,
+        "cf_slots": slot_count,
         "rp_slot_len_ms": _Reader.num,
         "cf_slot_len_ms": _Reader.num,
     }),

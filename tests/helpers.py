@@ -100,6 +100,21 @@ def grid_flows(n=5, count=3, rate=64000):
     ]
 
 
+def hidden_receiver_grid(horizon=60):
+    """Grid-6 with rf = reach = 150: a bystander that overhears a
+    receiver's accept but not the initiator's broadcast never marks the
+    slot, and data packets collide there."""
+    return grid(6, flows=grid_flows(6, 6), horizon=horizon, rf=150.0, reach=150.0)
+
+
+def wide_footprint_grid(horizon=40):
+    """Grid-4 whose lasers disturb 1.5 x their reach, past what the
+    reservation broadcast covers: bonded reservations collide."""
+    data = grid(4, flows=grid_flows(4, 3), horizon=horizon, rf=220.0)
+    data["channel"] = {"interference_multiplier": 1.5}
+    return data
+
+
 def short_radio_grid(horizon=100):
     """Grid-6 with six flows whose beams reach the 141 m diagonals but
     whose radios reach only 120 m: a diagonal is no data link."""

@@ -382,13 +382,8 @@ def test_replayed_violations_share_no_list(two_hop_run):
         assert later[key] == kept
 
 
-D2_GRID = helpers.grid(
-    6, flows=helpers.grid_flows(6, 6), horizon=60, rf=150.0, reach=150.0
-)
-D7_GRID = dict(
-    helpers.grid(4, flows=helpers.grid_flows(4, 3), horizon=40, rf=220.0),
-    channel={"interference_multiplier": 1.5},
-)
+D2_GRID = helpers.hidden_receiver_grid()
+D7_GRID = helpers.wide_footprint_grid()
 
 
 @pytest.mark.parametrize(

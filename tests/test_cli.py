@@ -220,6 +220,30 @@ def test_validate_reports_non_finite_numbers_and_bad_modes(tmp_path, capsys):
         assert "1 problem(s) found" in outp
 
 
+def test_validate_reports_integers_too_large_to_play(tmp_path, capsys):
+    # rp_slots 10**30 once passed validate and the run never finished;
+    # cf_slots 10**400 passed and Simulation raised OverflowError
+    cases = [
+        (("frame", "rp_slots"), 10**30, "E_BAD_VALUE at frame.rp_slots"),
+        (("frame", "cf_slots"), 10**400, "E_BAD_VALUE at frame.cf_slots"),
+        (("frame", "cf_slots"), 1025, "E_BAD_VALUE at frame.cf_slots"),
+        (("flows", 0, "packet_size_bits"), 10**400,
+         "E_BAD_VALUE at flows[0].packet_size_bits"),
+    ]
+    for (*parents, last), value, want in cases:
+        data = helpers.mixed_traffic()
+        target = data
+        for part in parents:
+            target = target[part] if isinstance(target, list) else target.setdefault(part, {})
+        target[last] = value
+        path = write_scenario(tmp_path, data)
+        assert main(["validate", "--scenario", path]) == 1
+        out, err = capsys.readouterr()
+        assert want in out
+        assert "1 problem(s) found" in out
+        assert "Traceback" not in out + err
+
+
 def test_missing_file_and_bad_usage_exit_one(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == 1
     with pytest.raises(SystemExit) as ei:

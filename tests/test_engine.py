@@ -400,18 +400,22 @@ def test_pickled_simulation_runs_like_the_original():
 
 
 class ScheduleChecked(Simulation):
-    """Checks the cached CF schedule against every table before each CF
-    slot is played."""
+    """Checks the cached CF plan, its senders with their addressees and
+    its listeners, against every table before each CF slot is played."""
 
     slots_checked = 0
 
     def _cf_slot(self, frame, s):
-        want = []
+        senders, listeners = [], set()
         for sid in self.ch_ids:
             e = self.sts[sid].mac.rt.get(s)
-            if e is not None and sid in (e.tx, e.rx):
-                want.append((sid, e))
-        assert self._schedule()[s] == want, (frame, s)
+            if e is not None and e.tx == sid:
+                senders.append((sid, e.rx))
+            elif e is not None and e.rx == sid:
+                listeners.add(sid)
+        plan = self._schedule()[s]
+        assert plan[0] == senders, (frame, s)
+        assert plan[1] == listeners, (frame, s)
         self.slots_checked += 1
         super()._cf_slot(frame, s)
 
@@ -433,6 +437,119 @@ def test_cached_cf_schedule_matches_every_table_at_every_cf_slot(data, inserts):
     assert len(events(trace, "rt_insert")) >= inserts
     assert events(trace, "cancel_complete")
     assert report.trace_digest == Simulation(sc, seed=0).run()[0].trace_digest
+
+
+class OutcomeChecked(Simulation):
+    """After each CF slot, re-resolves the slot's full transmission list,
+    built from the slot's data_tx events and the tables, and checks the
+    channel outcome the plan keeps for those senders against it."""
+
+    slots_checked = 0
+    collisions_checked = 0
+
+    def _cf_slot(self, frame, s):
+        first = len(self.trace)
+        super()._cf_slot(frame, s)
+        channel, listeners = [], set()
+        for e in self.trace[first:]:
+            if e["event"] == "data_tx":
+                sid = e["station"]
+                to = self.sts[sid].mac.rt.get(s).rx
+                assert e["detail"]["to"] == to
+                channel.append(Transmission(
+                    sender=sid, payload=len(channel),
+                    comm=self.fso_comm[sid], interf=self.fso_intf[sid], to=to,
+                ))
+        for sid in self.ch_ids:
+            e = self.sts[sid].mac.rt.get(s)
+            if e is not None and e.rx == sid:
+                listeners.add(sid)
+        delivered, collisions = resolve_slot(channel, listeners)
+        want = (
+            [(rho, t.payload) for rho, t in delivered.items() if t.to == rho],
+            sorted(collisions.items()),
+        )
+        outcomes = self._schedule()[s][2]
+        assert outcomes[tuple(t.sender for t in channel)] == want, (frame, s)
+        self.slots_checked += 1
+        self.collisions_checked += len(collisions)
+
+
+@pytest.mark.parametrize(
+    "data, seed, digest",
+    [
+        (helpers.churn(), 0, "67b6746460916ebe6c3837a2945405b2becc10be441f84e02a2901cb47c0b080"),
+        (helpers.hidden_receiver_grid(), 0,
+         "a772a3e3041b4b82609515238fe552f489b26b772a3434d06a11a345ae7ee2c5"),
+        (helpers.wide_footprint_grid(), 0,
+         "11e0580e8d7148aa70fd5c2e4e46e99c5349263c73215142e675fb456ff49653"),
+        # the two foreign-addressee grids below
+        (helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=150, rf=150.0,
+                      reach=150.0), 0,
+         "4b8c3e671e8dfc43f48ccab6b7cf16ac372950ffae87a46bdd1412fc387098be"),
+        (helpers.grid(8, flows=helpers.grid_flows(8, 8), horizon=150, rf=150.0,
+                      reach=160.0), 1,
+         "e850f6c3a2e35ca87828e1ef00ff10e390f98d0bb5a6408cb8ad87cd952a459b"),
+    ],
+    ids=["churn", "d2-grid6", "d7-grid4", "d1-grid6", "d1-grid8"],
+)
+def test_kept_cf_outcomes_match_a_fresh_resolve_at_every_cf_slot(data, seed, digest):
+    # the digests were taken before CF outcomes were kept in the plan
+    sc = from_dict(data)
+    sim = OutcomeChecked(sc, seed=seed)
+    report, trace = sim.run()
+    assert sim.slots_checked == sc.horizon_frames * 20
+    assert sim.collisions_checked == report.data_collisions
+    assert report.trace_digest == digest
+
+
+def test_cf_slots_resolve_the_channel_once_per_plan_and_sender_set(monkeypatch):
+    # the 60-frame grid-6 pin below: persistent reservations give most CF
+    # slots the same plan and the same senders frame after frame, where
+    # every CF slot once resolved its channel anew (1,200 calls)
+    in_cf, calls = [False], [0]
+    real = engine.resolve_slot
+
+    def counted(transmissions, listeners):
+        calls[0] += in_cf[0]
+        return real(transmissions, listeners)
+
+    class Counted(Simulation):
+        slots = 0
+
+        def _cf_slot(self, frame, s):
+            self.slots += 1
+            in_cf[0] = True
+            super()._cf_slot(frame, s)
+            in_cf[0] = False
+
+    monkeypatch.setattr(engine, "resolve_slot", counted)
+    data = helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=60, rf=200.0)
+    sim = Counted(from_dict(data), seed=0)
+    report, _ = sim.run()
+    assert sim.slots == 1200
+    assert 0 < calls[0] <= 300
+    assert report.trace_digest == (
+        "5d9cfc3019ad1e18be50ebcd92bb524de5c163610d0f5763d68ddd166b85872e"
+    )
+
+
+def test_slot_times_are_exact_with_slot_lengths_that_do_not_sum_exactly():
+    # 0.3 and 0.7 ms are not binary fractions, so a slot time summed in
+    # another order drifts by an ulp; the delays were taken when every CF
+    # slot's start and end came from FrameLayout
+    data = helpers.churn()
+    data["frame"] = {
+        "rp_slots": 11, "cf_slots": 20, "rp_slot_len_ms": 0.3, "cf_slot_len_ms": 0.7,
+    }
+    report, _ = run(data)
+    assert {fid: (fs.mean_delay_ms, fs.max_delay_ms) for fid, fs in report.flows.items()} == {
+        1: (50.43750000000002, 59.82500000000002),
+        2: (71.46666666666667, 84.0),
+        3: (279.18854996387887, 337.5560149200079),
+        4: (312.1967139234449, 826.6818223609288),
+        5: (45.07053571428573, 59.27499999999998),
+    }
 
 
 @pytest.mark.parametrize(

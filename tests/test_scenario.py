@@ -257,7 +257,8 @@ def test_readme_scenario_sections_round_trip_unchanged():
 
 
 # (dotted key, value, {(code, path)}): one bad value per config key, the
-# nested backoff section, a null hop budget, and each section as a non-object.
+# nested backoff section, a null hop budget, each section as a non-object,
+# and integers too large to play or to hold exactly in a float.
 BAD_CONFIG_CASES = [
     ("grid.cell_width", "wide", {("E_BAD_VALUE", "grid.cell_width")}),
     ("grid.cell_width", 0, {("E_BAD_VALUE", "grid")}),
@@ -274,6 +275,10 @@ BAD_CONFIG_CASES = [
     ("frame.rp_slots", 10, {("E_BAD_VALUE", "frame")}),
     ("frame.cf_slots", 2.5, {("E_BAD_VALUE", "frame.cf_slots")}),
     ("frame.cf_slots", 0, {("E_BAD_VALUE", "frame")}),
+    ("frame.rp_slots", 10**30, {("E_BAD_VALUE", "frame.rp_slots")}),
+    ("frame.cf_slots", 10**400, {("E_BAD_VALUE", "frame.cf_slots")}),
+    ("frame.cf_slots", 1025, {("E_BAD_VALUE", "frame.cf_slots")}),
+    ("flows.0.packet_size_bits", 10**400, {("E_BAD_VALUE", "flows[0].packet_size_bits")}),
     ("frame.rp_slot_len_ms", None, {("E_BAD_VALUE", "frame.rp_slot_len_ms")}),
     ("frame.rp_slot_len_ms", 0.0, {("E_BAD_VALUE", "frame")}),
     ("frame.cf_slot_len_ms", [0.5], {("E_BAD_VALUE", "frame.cf_slot_len_ms")}),
@@ -315,16 +320,21 @@ BAD_CONFIG_CASES = [
 ] + [(section, [1], {("E_SCHEMA", section)}) for section in CONFIG_SECTIONS]
 
 
+def case_id(key, value):
+    text = repr(value)
+    return f"{key}={text}" if len(text) <= 40 else f"{key}={len(text)}-digit"
+
+
 @pytest.mark.parametrize(
     "key, value, want", BAD_CONFIG_CASES,
-    ids=[f"{k}={v!r}" for k, v, _ in BAD_CONFIG_CASES],
+    ids=[case_id(k, v) for k, v, _ in BAD_CONFIG_CASES],
 )
 def test_bad_config_value_flags_its_code_and_path(key, value, want):
     d = helpers.two_hop()
     *parents, last = key.split(".")
     target = d
     for part in parents:
-        target = target.setdefault(part, {})
+        target = target[int(part)] if isinstance(target, list) else target.setdefault(part, {})
     target[last] = value
     try:
         from_dict(d)
