@@ -183,6 +183,8 @@ def run_audits(
     chs = sorted(s.id for s in net.cluster_heads())
     ch_set = set(chs)
     if rp_slot_map is None:
+        # each cluster head's slot by its own grid cell, worked out here
+        # rather than taken from the engine, so the check is independent
         rp_slot_map = {
             sid: my_rp_slot(net.station(sid), net.grid_spec, slotting_enabled)
             for sid in chs

@@ -155,7 +155,6 @@ def _run_once(sc: Scenario, seed: int, out_dir: str, want_trace: bool):
     audit = run_audits(
         trace,
         sim.net,
-        rp_slot_map=sim.rp_slot_map,
         slotting_enabled=sc.mac.slotting_enabled,
         interference_multiplier=sc.channel.interference_multiplier,
     )

@@ -11,11 +11,11 @@ entries happens in sorted order.
 A run's work follows the protocol, not slots x stations. An RP slot
 asks only the cluster heads that own it whether to contend, and ends
 there when none does. A CF slot plays its plan: the senders with their
-addressees and the listeners, built from the reservation tables only
-after one of them changed. The plan also keeps the slot's channel
-outcomes by the tuple of stations that actually sent, so with
-persistent reservations a slot resolves the channel once per plan, not
-once per frame. A CF slot's start is the frame's first CF slot start,
+addressees and flows, and the listeners, built from the reservation
+tables and each station's flow_slots only after a table changed. The
+plan also keeps the slot's channel outcomes by the tuple of stations
+that actually sent, so with persistent reservations a slot resolves
+the channel once per plan, not once per frame. A CF slot's start is the frame's first CF slot start,
 taken once per frame, plus a per-slot offset. A slot scans queues for
 missed deadlines only once the earliest queued deadline can have
 passed, and polls the optical uplink only at cluster heads that are
@@ -216,23 +216,24 @@ class _FlowRuntime:
         self.reserving_hops: list[int] = []  # hops that need MAC slots
         # session continuity, per reserving hop that has ever held slots
         self.gap: dict[int, int] = {}
-        self.max_gap: dict[int, int] = {}
+        self.max_gap = 0  # worst streak at any of them
 
 
 class _StationState:
     """Mutable per-station simulation state."""
 
     def __init__(self, sid: int, cf_slots: int, rng: random.Random):
-        self.id = sid
         self.rng = rng
         self.mac = StationMac(sid, cf_slots)
-        self.queues: dict[int, PacketQueue] = {}  # flow id -> forward queue
+        # flow id -> forward queue, in ascending flow id: the flows we
+        # forward over reserved slots
+        self.queues: dict[int, PacketQueue] = {}
         self.uplink = PacketQueue(capacity=10**9)  # polled optical uplink
-        self.flow_slots: dict[int, tuple[int, ...]] = {}  # flow -> our tx slots
-        self.bindings: dict[int, int] = {}  # cf slot -> flow id
-        self.est_backoff: dict[int, BackoffState] = {}
-        self.cancel_backoff: dict[int, BackoffState] = {}
-        self.flow_order: list[int] = []  # flows we forward over reserved slots
+        # flow -> our tx slots: the only record of which flow a slot carries
+        self.flow_slots: dict[int, tuple[int, ...]] = {}
+        # flow -> the backoff of its pending establish or cancel; a flow
+        # holding no slots can only establish, one holding slots only cancel
+        self.backoff: dict[int, BackoffState] = {}
 
 
 # -- results ----------------------------------------------------------------
@@ -247,6 +248,7 @@ class FlowStats:
     dropped_collision: int = 0
     dropped_deadline: int = 0
     dropped_overflow: int = 0
+    dropped_unrouted: int = 0
     queued_at_end: int = 0
     mean_delay_ms: float = 0.0
     max_delay_ms: float = 0.0
@@ -258,7 +260,10 @@ class FlowStats:
 
     @property
     def loss_rate(self) -> float:
-        lost = self.dropped_collision + self.dropped_deadline + self.dropped_overflow
+        lost = (
+            self.dropped_collision + self.dropped_deadline + self.dropped_overflow
+            + self.dropped_unrouted
+        )
         return lost / self.generated if self.generated else 0.0
 
     @property
@@ -450,18 +455,14 @@ class Simulation:
         for fid in self.flow_ids:
             fr = self.flows[fid]
             for sid in fr.reserving_hops:
-                st = self.sts[sid]
-                st.queues[fid] = PacketQueue(fr.flow.queue_capacity)
-                st.flow_order.append(fid)
-        for sid in self.ch_ids:
-            self.sts[sid].flow_order.sort()
+                self.sts[sid].queues[fid] = PacketQueue(fr.flow.queue_capacity)
 
         # every queue, in the order its deadline drops are reported, and a
         # lower bound on the earliest deadline in any of them
         self.queue_order: list[tuple[int, PacketQueue]] = []
         for sid in self.ch_ids:
             st = self.sts[sid]
-            self.queue_order += [(sid, st.queues[fid]) for fid in st.flow_order]
+            self.queue_order += [(sid, q) for q in st.queues.values()]
             self.queue_order.append((sid, st.uplink))
         self._next_due = math.inf
         # the cluster heads that hand some flow's last hop to the uplink
@@ -546,10 +547,11 @@ class Simulation:
             slot_index=e.cf_slot, tx=e.tx, rx=e.rx, kind=e.kind._value_, reason=reason,
         )
 
-    def _drop(self, frame, slot, phase, sid, pkt, reason: str):
+    def _drop(self, frame, slot, phase, sid, pkt):
+        # the reason is the one the drop site set on the packet
         self._emit(
             frame, slot, phase, sid, "packet_drop",
-            flow=pkt.flow_id, seq=pkt.seq, reason=reason,
+            flow=pkt.flow_id, seq=pkt.seq, reason=pkt.dropped._value_,
         )
 
     # -- run ------------------------------------------------------------------
@@ -601,8 +603,8 @@ class Simulation:
                     flow=fid, seq=pkt.seq, created_ms=round(pkt.created_ms, 6),
                 )
                 if fr.path is None:
-                    pkt.dropped = DropReason.OVERFLOW
-                    self._drop(frame, 0, "RP", fr.attach, pkt, "unrouted")
+                    pkt.dropped = DropReason.UNROUTED
+                    self._drop(frame, 0, "RP", fr.attach, pkt)
                     continue
                 if not fr.next_hop:
                     # source attached directly at the destination
@@ -624,7 +626,7 @@ class Simulation:
         else:
             q = st.queues[fid]
         if not q.push(pkt):
-            self._drop(frame, slot, phase, sid, pkt, "overflow")
+            self._drop(frame, slot, phase, sid, pkt)
         elif q.next_deadline < self._next_due:
             self._next_due = q.next_deadline
 
@@ -634,60 +636,40 @@ class Simulation:
         """What, if anything, this station wants to signal in its slot.
 
         Returns ("establish", flow, peer, kind, count) or
-        ("cancel", flow, peer, slots) or None. When several flows are
-        ready the lowest (priority class, flow id) wins.
+        ("cancel", flow, peer, slots) or None. A flow that holds no slots
+        establishes once its queue holds a burst: one packet for a
+        real-time flow, burst_length for a datagram flow, or whatever is
+        left once the flow has stopped. A real-time flow that holds slots
+        cancels once it has stopped and its queue is empty. A flow whose
+        backoff has not run out waits. The lowest (priority class, flow
+        id) wins, with every cancel ranked after every establish.
         """
         st = self.sts[sid]
-        cands = []
-        for fid in st.flow_order:
+        best_rank, best = math.inf, None
+        for fid, q in st.queues.items():  # ascending flow id
             fr = self.flows[fid]
             flow = fr.flow
-            q = st.queues[fid]
-            peer = fr.next_hop[sid]
-            if flow.real_time:
-                if fid in st.flow_slots:
-                    flow_over = frame >= self._flow_stop(flow)
-                    if flow_over and len(q) == 0:
-                        bo = st.cancel_backoff.setdefault(fid, BackoffState())
-                        if bo.eligible(frame):
-                            cands.append(
-                                (9, fid, ("cancel", fid, peer, st.flow_slots[fid]))
-                            )
-                elif len(q) > 0:
-                    bo = st.est_backoff.setdefault(fid, BackoffState())
-                    if bo.eligible(frame):
-                        cands.append(
-                            (
-                                establishment_priority(flow),
-                                fid,
-                                ("establish", fid, peer, ReservationKind.REAL_TIME, 1),
-                            )
-                        )
+            over = frame >= self._flow_stop(flow)
+            if fid in st.flow_slots:
+                if not (flow.real_time and over and len(q) == 0):
+                    continue
+                rank, act = 9, ("cancel", fid, fr.next_hop[sid], st.flow_slots[fid])
             else:
-                if fid in st.flow_slots:
-                    continue  # this frame's burst is already granted
-                flow_over = frame >= self._flow_stop(flow)
-                if len(q) >= flow.burst_length or (flow_over and len(q) > 0):
-                    bo = st.est_backoff.setdefault(fid, BackoffState())
-                    if bo.eligible(frame):
-                        count = min(len(q), flow.burst_length)
-                        cands.append(
-                            (
-                                establishment_priority(flow),
-                                fid,
-                                ("establish", fid, peer, ReservationKind.DATAGRAM, count),
-                            )
-                        )
-        if not cands:
-            return None
-        cands.sort(key=lambda c: (c[0], c[1]))
-        return cands[0][2]
+                burst = 1 if flow.real_time else flow.burst_length
+                if len(q) < burst and not (over and len(q) > 0):
+                    continue
+                kind = ReservationKind.REAL_TIME if flow.real_time else ReservationKind.DATAGRAM
+                rank = establishment_priority(flow)
+                act = ("establish", fid, fr.next_hop[sid], kind, min(len(q), burst))
+            bo = st.backoff.get(fid)
+            if rank < best_rank and (bo is None or bo.eligible(frame)):
+                best_rank, best = rank, act
+        return best
 
     def _register_failure(self, frame, r, sid, act, reason: str) -> None:
         st = self.sts[sid]
         fid = act[1]
-        table = st.est_backoff if act[0] == "establish" else st.cancel_backoff
-        bo = table.setdefault(fid, BackoffState())
+        bo = st.backoff.setdefault(fid, BackoffState())
         nxt = bo.register_failure(frame, st.rng, self.mac_cfg.backoff)
         self._emit(
             frame, r, "RP", sid, "backoff",
@@ -823,11 +805,8 @@ class Simulation:
                 for e in entries:
                     self._emit_insert(frame, r, "RP", rho, e)
                 st.flow_slots[fid] = msg.slots
-                for s in msg.slots:
-                    st.bindings[s] = fid
-                st.est_backoff.pop(fid, None)
-                fr = self.flows[fid]
-                fr.gap[rho] = 0
+                st.backoff.pop(fid, None)
+                self.flows[fid].gap[rho] = 0
                 handshakes.append((rho, msg.src, msg.slots, msg.entry_kind, fid))
                 self._send_control(channel, slot_tx, frame, r, rho, srb)
             elif msg.kind is MsgKind.CANCEL_ACK:
@@ -839,11 +818,8 @@ class Simulation:
                     removed = st.mac.apply_cancel(msg.slots, tx=rho, rx=msg.src)
                     for e in removed:
                         self._emit_delete(frame, r, "RP", rho, e, "cancel")
-                    for s in msg.slots:
-                        if st.bindings.get(s) == fid:
-                            del st.bindings[s]
                     st.flow_slots.pop(fid, None)
-                    st.cancel_backoff.pop(fid, None)
+                    st.backoff.pop(fid, None)
                     self._emit(
                         frame, r, "RP", rho, "cancel_complete",
                         peer=msg.src, slots=list(msg.slots), flow=fid,
@@ -886,21 +862,25 @@ class Simulation:
 
     # -- contention-free period ----------------------------------------------
 
-    def _schedule(self) -> list[tuple[list[tuple[int, int]], frozenset[int], dict]]:
+    def _schedule(self) -> list[tuple[list[tuple[int, int, int]], frozenset[int], dict]]:
         """CF slot -> (senders, listeners, outcomes), the slot's plan by
-        every station's own table: senders is [(station, addressee)] in
-        station order, listeners the stations that receive, and outcomes
-        starts empty for _cf_slot to keep channel outcomes in. Tables
-        change only in the RP and at the frame boundary, so this is
-        rebuilt at most once per frame."""
+        every station's own table: senders is [(station, addressee,
+        flow)] in station order, listeners the stations that receive, and
+        outcomes starts empty for _cf_slot to keep channel outcomes in.
+        A sender's flow is the one whose flow_slots hold the slot. Tables
+        change only in the RP and at the frame boundary, and flow_slots
+        only in the same step as its station's table, so this is rebuilt
+        at most once per frame."""
         if self._cf_plan is None:
             slots = range(self.layout.cf_slots)
             senders = [[] for _ in slots]
             listeners = [[] for _ in slots]
             for sid in self.ch_ids:
-                for e in self.sts[sid].mac.rt.entries():
+                st = self.sts[sid]
+                flow_of = {s: fid for fid, own in st.flow_slots.items() for s in own}
+                for e in st.mac.rt.entries():
                     if e.tx == sid:
-                        senders[e.cf_slot].append((sid, e.rx))
+                        senders[e.cf_slot].append((sid, e.rx, flow_of[e.cf_slot]))
                     elif e.rx == sid:
                         listeners[e.cf_slot].append(sid)
             self._cf_plan = [
@@ -942,26 +922,20 @@ class Simulation:
             for sid, q in self.queue_order:
                 if slot_end > q.next_deadline:
                     for pkt in q.expire(slot_end):
-                        self._drop(frame, s, "CFP", sid, pkt, "deadline")
+                        self._drop(frame, s, "CFP", sid, pkt)
                 due = min(due, q.next_deadline)
             self._next_due = due
 
         senders, listeners, outcomes = self._schedule()[s]
         sent = []
-        for sid, to in senders:
-            st = self.sts[sid]
-            fid = st.bindings.get(s)
-            pkt = None
-            if fid is not None and fid in st.queues:
-                pkt = st.queues[fid].head_ready(slot_start)
+        for sid, to, fid in senders:
+            q = self.sts[sid].queues[fid]
+            pkt = q.head_ready(slot_start)
             if pkt is None:
                 self.wasted_slots += 1
-                self._emit(
-                    frame, s, "CFP", sid, "wasted_slot",
-                    flow=-1 if fid is None else fid,
-                )
+                self._emit(frame, s, "CFP", sid, "wasted_slot", flow=fid)
                 continue
-            st.queues[fid].pop()
+            q.pop()
             sent.append((sid, fid, pkt, to))
             self._emit(frame, s, "CFP", sid, "data_tx", flow=fid, seq=pkt.seq, to=to)
 
@@ -994,7 +968,7 @@ class Simulation:
             for i, (sid, fid, pkt, _) in enumerate(sent):
                 if i not in got:
                     pkt.dropped = DropReason.COLLISION
-                    self._drop(frame, s, "CFP", sid, pkt, "collision")
+                    self._drop(frame, s, "CFP", sid, pkt)
 
         # cluster heads with nothing scheduled serve their polled optical
         # uplink: one buffered packet straight up per otherwise idle slot
@@ -1034,15 +1008,11 @@ class Simulation:
             st = self.sts[sid]
             for e in st.mac.end_of_frame_cleanup(frame):
                 self._emit_delete(frame, last, "CFP", sid, e, "expire")
-                if e.tx == sid and st.bindings.get(e.cf_slot) is not None:
-                    fid = st.bindings.pop(e.cf_slot)
-                    left = tuple(
-                        x for x in st.flow_slots.get(fid, ()) if x != e.cf_slot
-                    )
-                    if left:
-                        st.flow_slots[fid] = left
-                    else:
-                        st.flow_slots.pop(fid, None)
+            # every slot of a datagram flow was a datagram entry just wiped
+            st.flow_slots = {
+                fid: own for fid, own in st.flow_slots.items()
+                if self.flows[fid].flow.real_time
+            }
         self._datagram_tables.clear()
 
         # session continuity: a real-time hop that once held slots but now
@@ -1057,7 +1027,7 @@ class Simulation:
                 st = self.sts[sid]
                 if fid not in st.flow_slots and len(st.queues[fid]) > 0:
                     fr.gap[sid] += 1
-                    fr.max_gap[sid] = max(fr.max_gap.get(sid, 0), fr.gap[sid])
+                    fr.max_gap = max(fr.max_gap, fr.gap[sid])
                 else:
                     fr.gap[sid] = 0
 
@@ -1094,12 +1064,14 @@ class Simulation:
                     fs.dropped_deadline += 1
                 elif p.dropped is DropReason.OVERFLOW:
                     fs.dropped_overflow += 1
+                elif p.dropped is DropReason.UNROUTED:
+                    fs.dropped_unrouted += 1
                 else:
                     fs.queued_at_end += 1
             if delays:
                 fs.mean_delay_ms = sum(delays) / len(delays)
                 fs.max_delay_ms = max(delays)
-            fs.session_gap_frames = max(fr.max_gap.values(), default=0)
+            fs.session_gap_frames = fr.max_gap
             flows[fid] = fs
 
         stations = {}

@@ -78,11 +78,12 @@ class Scenario:
         return Network(self.stations, sink=self.sink, grid_spec=self.grid)
 
 
-# Every integer a scenario holds is exact as a float, and a frame has at
-# most MAX_SLOTS slots of each kind, so every run that validates can be
-# played.
+# Every integer a scenario holds is exact as a float, a frame has at
+# most MAX_SLOTS slots of each kind and a run at most MAX_FRAMES frames,
+# so every run that validates can be played.
 MAX_INTEGER = 2**53
 MAX_SLOTS = 1024
+MAX_FRAMES = 10**6
 
 
 def _finite(v) -> bool:
@@ -460,8 +461,11 @@ def from_dict(data: dict) -> Scenario:
             f"{cfg['layout'].rp_slots} while slotting is enabled",
         )
     horizon = r.integer(data, "horizon_frames", "$", default=100)
-    if horizon is not None and horizon < 1:
-        r.flag("E_BAD_VALUE", "$.horizon_frames", "must be at least 1")
+    if horizon is not None and not 1 <= horizon <= MAX_FRAMES:
+        r.flag(
+            "E_BAD_VALUE", "$.horizon_frames",
+            f"must be from 1 to {MAX_FRAMES}, got {horizon}",
+        )
         horizon = 1
 
     raw_stations = data.get("stations")

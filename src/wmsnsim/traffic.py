@@ -36,9 +36,14 @@ class ServiceMode(str, Enum):
 
 
 class DropReason(str, Enum):
+    """Why a packet was lost; each value is the reason its packet_drop
+    event gives. The queue sets OVERFLOW and DEADLINE_MISS, the engine
+    COLLISION and UNROUTED."""
+
     COLLISION = "collision"
-    DEADLINE_MISS = "deadline_miss"
+    DEADLINE_MISS = "deadline"
     OVERFLOW = "overflow"
+    UNROUTED = "unrouted"
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ def audited(data, seed=0):
     audit = run_audits(
         trace,
         sim.net,
-        rp_slot_map=sim.rp_slot_map,
         slotting_enabled=sc.mac.slotting_enabled,
         interference_multiplier=sc.channel.interference_multiplier,
     )

@@ -27,7 +27,6 @@ def audit(sim, sc, trace):
     rep = run_audits(
         trace,
         sim.net,
-        rp_slot_map=sim.rp_slot_map,
         slotting_enabled=sc.mac.slotting_enabled,
         interference_multiplier=multiplier,
     )

@@ -8,7 +8,7 @@ import math
 import pytest
 
 import helpers
-from wmsnsim import Simulation, discover, from_dict, trace_digest
+from wmsnsim import Simulation, discover, engine, from_dict, trace_digest
 from wmsnsim.cli import main
 
 
@@ -222,8 +222,11 @@ def test_validate_reports_non_finite_numbers_and_bad_modes(tmp_path, capsys):
 
 def test_validate_reports_integers_too_large_to_play(tmp_path, capsys):
     # rp_slots 10**30 once passed validate and the run never finished;
-    # cf_slots 10**400 passed and Simulation raised OverflowError
+    # cf_slots 10**400 passed and Simulation raised OverflowError, and
+    # horizons up to 2**53 frames passed
     cases = [
+        (("horizon_frames",), 10**6 + 1, "E_BAD_VALUE at $.horizon_frames"),
+        (("horizon_frames",), 2**53, "E_BAD_VALUE at $.horizon_frames"),
         (("frame", "rp_slots"), 10**30, "E_BAD_VALUE at frame.rp_slots"),
         (("frame", "cf_slots"), 10**400, "E_BAD_VALUE at frame.cf_slots"),
         (("frame", "cf_slots"), 1025, "E_BAD_VALUE at frame.cf_slots"),
@@ -260,3 +263,15 @@ def test_broken_json_exits_one(tmp_path, capsys):
     assert main(["validate", "--scenario", str(p)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "broken.json:1:2" in err
+
+
+def test_run_audits_against_the_auditors_own_rp_schedule(tmp_path, capsys, monkeypatch):
+    # an engine that assigns every cluster head the next RP slot; audited
+    # against the engine's own map, rp_slot_discipline passed
+    real = engine.my_rp_slot
+    monkeypatch.setattr(
+        engine, "my_rp_slot", lambda station, spec, on=True: (real(station, spec, on) + 1) % 11
+    )
+    path = write_scenario(tmp_path, helpers.two_hop(horizon=20))
+    main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
+    assert "audit: rp_slot_discipline FAIL (checked=2, violations=2)" in capsys.readouterr().out

@@ -3,9 +3,12 @@ faults, determinism."""
 
 import hashlib
 import json
+import math
 import pickle
 import random
+import sys
 from enum import Enum
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ import helpers
 from wmsnsim import (
     EnergyCosts,
     EnergyMeter,
+    FlowStats,
     Simulation,
     Transmission,
     from_dict,
@@ -23,6 +27,9 @@ from wmsnsim import (
     trace_digest,
 )
 from wmsnsim import engine
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import line_mixed  # noqa: E402
 
 
 def run(data, seed=0):
@@ -36,7 +43,6 @@ def audited(data, seed=0):
     audit = run_audits(
         trace,
         sim.net,
-        rp_slot_map=sim.rp_slot_map,
         slotting_enabled=sc.mac.slotting_enabled,
         interference_multiplier=sc.channel.interference_multiplier,
     )
@@ -338,6 +344,15 @@ def test_unroutable_flow_drops_everything():
     assert report.flows[1].generated > 0
     drops = events(trace, "packet_drop")
     assert drops and all(e["detail"]["reason"] == "unrouted" for e in drops)
+    # CH 2 turned away from the sink: these drops were once counted as
+    # dropped_overflow while the trace said unrouted
+    data = helpers.two_hop(horizon=20)
+    data["stations"][1]["sector"]["theta"] = math.pi
+    report, trace = run(data)
+    fs = report.flows[1]
+    assert (fs.generated, fs.dropped_unrouted, fs.dropped_overflow) == (16, 16, 0)
+    assert fs.loss_rate == 1.0
+    assert {e["detail"]["reason"] for e in events(trace, "packet_drop")} == {"unrouted"}
 
 
 def test_routes_follow_data_links_only():
@@ -401,16 +416,28 @@ def test_pickled_simulation_runs_like_the_original():
 
 class ScheduleChecked(Simulation):
     """Checks the cached CF plan, its senders with their addressees and
-    its listeners, against every table before each CF slot is played."""
+    flows and its listeners, against every table before each CF slot is
+    played. A sender's flow is that of the last handshake_complete at the
+    station whose slots include the slot, read from the trace."""
 
     slots_checked = 0
 
+    def __init__(self, scenario, seed=0):
+        super().__init__(scenario, seed)
+        self.granted, self.events_read = {}, 0
+
     def _cf_slot(self, frame, s):
+        granted = self.granted
+        for e in self.trace[self.events_read:]:
+            if e["event"] == "handshake_complete":
+                for slot in e["detail"]["slots"]:
+                    granted[e["station"], slot] = e["detail"]["flow"]
+        self.events_read = len(self.trace)
         senders, listeners = [], set()
         for sid in self.ch_ids:
             e = self.sts[sid].mac.rt.get(s)
             if e is not None and e.tx == sid:
-                senders.append((sid, e.rx))
+                senders.append((sid, e.rx, granted[sid, s]))
             elif e is not None and e.rx == sid:
                 listeners.add(sid)
         plan = self._schedule()[s]
@@ -437,6 +464,84 @@ def test_cached_cf_schedule_matches_every_table_at_every_cf_slot(data, inserts):
     assert len(events(trace, "rt_insert")) >= inserts
     assert events(trace, "cancel_complete")
     assert report.trace_digest == Simulation(sc, seed=0).run()[0].trace_digest
+
+
+class FlowSlotsChecked(Simulation):
+    """After each frame boundary, checks that every flow a station holds
+    slots for is real-time and that each of its slots is a transmit entry
+    of the station's table, addressed to the flow's next hop."""
+
+    frames_checked = 0
+    slots_checked = 0
+
+    def _end_frame(self, frame):
+        super()._end_frame(frame)
+        for sid, st in self.sts.items():
+            for fid, own in st.flow_slots.items():
+                fr = self.flows[fid]
+                assert fr.flow.real_time, (frame, sid, fid)
+                for s in own:
+                    e = st.mac.rt.get(s)
+                    assert e is not None, (frame, sid, fid, s)
+                    assert (e.tx, e.rx) == (sid, fr.next_hop[sid]), (frame, sid, fid, s)
+                    self.slots_checked += 1
+        self.frames_checked += 1
+
+
+@pytest.mark.parametrize(
+    "data, seed",
+    [
+        (helpers.churn(), 0),
+        (helpers.two_hop(horizon=30, stop_frame=18), 0),
+        (line_mixed(60), 3),
+    ],
+    ids=["churn", "two-hop-cancel", "line-mixed"],
+)
+def test_flow_slots_hold_only_real_time_transmit_entries_after_each_frame(data, seed):
+    sc = from_dict(data)
+    sim = FlowSlotsChecked(sc, seed=seed)
+    report, trace = sim.run()
+    assert sim.frames_checked == sc.horizon_frames
+    assert sim.slots_checked > 0
+    assert report.trace_digest == Simulation(sc, seed=seed).run()[0].trace_digest
+
+
+def test_line_mixed_pins_every_flow_stat():
+    # taken before flow_slots became the only slot-to-flow map; flows 5
+    # and 6 each starve for one frame at some hop
+    report, _ = run(line_mixed(60), seed=3)
+    assert report.trace_digest == (
+        "b280409a7f9f0d633ddf220556db11d5de0db76b7d491ed57e15f79a3a81ea0c"
+    )
+    assert report.flows == {
+        1: FlowStats(
+            1, "ABR", generated=347, delivered=120, dropped_overflow=80,
+            queued_at_end=147, mean_delay_ms=280.51295610004996,
+            max_delay_ms=447.9589348906331,
+        ),
+        2: FlowStats(
+            2, "UBR", generated=372, delivered=3, dropped_overflow=305,
+            queued_at_end=64, mean_delay_ms=152.6933118841993,
+            max_delay_ms=152.98260699177504,
+        ),
+        3: FlowStats(
+            3, "nrtVBR", generated=366, delivered=20, dropped_overflow=260,
+            queued_at_end=86, mean_delay_ms=381.63, max_delay_ms=689.0,
+        ),
+        4: FlowStats(
+            4, "rtVBR", generated=52, delivered=49, queued_at_end=3,
+            mean_delay_ms=46.10561224489796, max_delay_ms=64.2,
+        ),
+        5: FlowStats(
+            5, "CBR", generated=24, delivered=18, dropped_deadline=6,
+            mean_delay_ms=46.109722222222196, max_delay_ms=57.849999999999966,
+            session_gap_frames=1,
+        ),
+        6: FlowStats(
+            6, "CBR", generated=32, delivered=32, mean_delay_ms=34.67499999999998,
+            max_delay_ms=53.99999999999997, session_gap_frames=1,
+        ),
+    }
 
 
 class OutcomeChecked(Simulation):

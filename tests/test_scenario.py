@@ -278,6 +278,8 @@ BAD_CONFIG_CASES = [
     ("frame.rp_slots", 10**30, {("E_BAD_VALUE", "frame.rp_slots")}),
     ("frame.cf_slots", 10**400, {("E_BAD_VALUE", "frame.cf_slots")}),
     ("frame.cf_slots", 1025, {("E_BAD_VALUE", "frame.cf_slots")}),
+    ("horizon_frames", 10**6 + 1, {("E_BAD_VALUE", "$.horizon_frames")}),
+    ("horizon_frames", 2**53, {("E_BAD_VALUE", "$.horizon_frames")}),
     ("flows.0.packet_size_bits", 10**400, {("E_BAD_VALUE", "flows[0].packet_size_bits")}),
     ("frame.rp_slot_len_ms", None, {("E_BAD_VALUE", "frame.rp_slot_len_ms")}),
     ("frame.rp_slot_len_ms", 0.0, {("E_BAD_VALUE", "frame")}),
