@@ -232,6 +232,9 @@ def _cmd_sweep(args) -> int:
                     "mean_delay_ms": f"{fs.mean_delay_ms:.6f}",
                     "deadline_miss_rate": f"{fs.deadline_miss_rate:.6f}",
                     "loss_rate": f"{fs.loss_rate:.6f}",
+                    "control_collisions": report.control_collisions,
+                    "data_collisions": report.data_collisions,
+                    "wasted_slots": report.wasted_slots,
                     "audits": "pass" if audit.headline_passed else "fail",
                     "trace_digest": report.trace_digest,
                 }
@@ -251,7 +254,8 @@ def _cmd_sweep(args) -> int:
             fieldnames=[
                 "seed", "flow_id", "class", "generated", "delivered",
                 "delivery_ratio", "mean_delay_ms", "deadline_miss_rate",
-                "loss_rate", "audits", "trace_digest",
+                "loss_rate", "control_collisions", "data_collisions", "wasted_slots",
+                "audits", "trace_digest",
             ],
         )
         w.writeheader()

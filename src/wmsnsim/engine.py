@@ -13,16 +13,17 @@ asks only the cluster heads that own it whether to contend, and ends
 there when none does. A CF slot plays its plan: the senders with their
 addressees and flows, and the listeners, built from the reservation
 tables and each station's flow_slots only after a table changed. The
-plan also keeps the slot's channel outcomes by the tuple of stations
-that actually sent, so with persistent reservations a slot resolves
-the channel once per plan, not once per frame. A CF slot's start is the frame's first CF slot start,
-taken once per frame, plus a per-slot offset. A slot scans queues for
-missed deadlines only once the earliest queued deadline can have
-passed, and polls the optical uplink only at cluster heads that are
-some flow's last hop. Energy is counted as it is spent (sending,
-receiving, listening for a reserved packet); idle listening in the RP
-and sleep are booked in bulk at the end of the run. The frame boundary
-visits only tables that hold a datagram entry.
+run keeps every CF channel outcome by what decides it, the senders that
+sent with their addressees and the slot's listeners, so a channel is
+resolved once per such set in a run, however often the tables change.
+A CF slot's start is the frame's first CF slot start, taken once per
+frame, plus a per-slot offset. A slot scans queues for missed deadlines
+only once the earliest queued deadline can have passed, and polls the
+optical uplink only at cluster heads that are some flow's last hop.
+Energy is counted as it is spent (sending, receiving, listening for a
+reserved packet); idle listening in the RP and sleep are booked in bulk
+at the end of the run. The frame boundary visits only tables that hold
+a datagram entry.
 
 The simulation emits a structured event trace. Post-run audits
 (see audit.py) replay that trace against the topology to check the
@@ -39,10 +40,14 @@ non-ASCII character as \\uXXXX).
 serialize_trace joins those lines, and trace_digest is the SHA-256 of
 their UTF-8 bytes, which a written trace.jsonl holds byte for byte.
 
-A run's trace is serialised once. Simulation.trace is a Trace, a list
-that also keeps its canonical bytes: the digest run() takes makes them,
-and serialize_trace, trace_digest and `wmsnsim run --trace` reuse them
-for as long as no event has been appended.
+A run's trace is serialised once, as it is emitted. _emit makes each
+event's line when it appends the event: from its kind's printf template
+in _TEMPLATES when the event has the kind's shape, from the C detail
+encoder otherwise. At the end of each frame run() folds the frame's
+lines into the UTF-8 bytes Simulation.trace keeps (a Trace, a list that
+also holds its canonical text), so the digest run() takes only hashes
+them, and serialize_trace, trace_digest and `wmsnsim run --trace` reuse
+them for as long as no event has been appended.
 """
 
 from __future__ import annotations
@@ -300,7 +305,7 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # The detail encoder JSONEncoder.iterencode would build for _CANONICAL on
 # every call, built once. It returns a detail's JSON as a sequence of
 # chunks. Its circular-reference markers outlive a call, so a failed
-# encode clears them (see _trace_lines).
+# encode clears them (see _line).
 _MARKERS: dict = {}
 if c_make_encoder is None:
     def _encode_detail(detail, _level):
@@ -313,36 +318,140 @@ else:
     )
 
 
-def _trace_lines(events):
-    """Each event's canonical line, newline included: what _CANONICAL.encode
-    gives, built without it for the envelope Simulation._emit writes (six
-    keys, int frame, slot and station, str phase and event). Any other
-    dict goes through _CANONICAL.encode."""
-    detail, string, join = _encode_detail, encode_basestring_ascii, "".join
+# The event kinds whose detail always has the same keys: each key, in
+# sorted order, with the type of its value (int, a finite float, or str
+# for an enum value that JSON writes as it is, see _QUOTABLE). Together
+# they are almost every event of a run.
+_SHAPES = {
+    "data_tx": (("flow", int), ("seq", int), ("to", int)),
+    "data_rx": (("flow", int), ("sender", int), ("seq", int)),
+    "rt_insert": (
+        ("established_frame", int), ("kind", str), ("rx", int), ("slot_index", int),
+        ("tx", int),
+    ),
+    "rt_delete": (("kind", str), ("reason", str), ("rx", int), ("slot_index", int), ("tx", int)),
+    "packet_gen": (("created_ms", float), ("flow", int), ("seq", int)),
+    "packet_drop": (("flow", int), ("reason", str), ("seq", int)),
+    "data_delivered": (("delay_ms", float), ("flow", int), ("seq", int)),
+    "uplink_tx": (("flow", int), ("seq", int)),
+    "wasted_slot": (("flow", int),),
+    "frame_end": (),
+}
+
+# The phases and the enum values the engine puts in those kinds: strings
+# that need no escape, so a template quotes them as they are
+_QUOTABLE = frozenset(
+    ["RP", "CFP", "cancel", "overwrite", "expire"]
+    + [k._value_ for k in ReservationKind]
+    + [r._value_ for r in DropReason]
+)
+
+
+def _template(event, shape):
+    """The printf template of one kind's canonical line. Its arguments are
+    the detail's values in key order, then frame, phase, slot and station:
+    the envelope's keys in sorted order."""
+    conv = {int: "%d", float: "%r", str: '"%s"'}
+    detail = ",".join(f'"{k}":{conv[t]}' for k, t in shape)
+    return (
+        f'{{"detail":{{{detail}}},"event":"{event}","frame":%d,"phase":"%s",'
+        '"slot":%d,"station":%d}\n'
+    )
+
+
+_TEMPLATES = {event: _template(event, shape) for event, shape in _SHAPES.items()}
+
+
+def _liner(event, shape):
+    """A function of (frame, phase, slot, station, detail) that fills the
+    kind's template when the detail has exactly the kind's keys and every
+    value has its type in _SHAPES (an int not a bool, a str quotable, a
+    float finite), and returns None otherwise. A detail short of a key
+    raises KeyError.
+
+    The function is compiled from _SHAPES, never from input, so that each
+    check is one inline type test: a generic check that mapped type()
+    over the values took about as long as the template saved."""
+    values = [f"v{i}" for i in range(len(shape))] + ["frame", "phase", "slot", "station"]
+    types = [t for _, t in shape] + [int, str, int, int]
+    tests = [f"type({v}) is {t.__name__}" for v, t in zip(values, types)]
+    tests += [f"{v} in _QUOTABLE" for v, t in zip(values, types) if t is str]
+    tests += [f"-_INF < {v} < _INF" for v, t in zip(values, types) if t is float]
+    src = (
+        f"def {event}(frame, phase, slot, station, detail):\n"
+        f"    if len(detail) == {len(shape)}:\n"
+        + "".join(f"        v{i} = detail[{k!r}]\n" for i, (k, _) in enumerate(shape))
+        + f"        if {' and '.join(tests)}:\n"
+        f"            return _FMT % ({', '.join(values)},)\n"
+    )
+    scope = {"_FMT": _TEMPLATES[event], "_QUOTABLE": _QUOTABLE, "_INF": math.inf}
+    exec(src, scope)
+    return scope[event]
+
+
+_LINES = {event: _liner(event, shape) for event, shape in _SHAPES.items()}
+
+
+def _line(frame, slot, phase, station, event, detail):
+    """The canonical line of the event with these six envelope values,
+    newline included: what _CANONICAL.encode gives for it. Every line of
+    a trace is made here.
+
+    An event of a kind in _SHAPES whose detail has the kind's keys (in
+    any order) and types takes the kind's template; any other event with
+    int frame, slot and station and str phase and event takes the reused
+    C detail encoder, and the rest _CANONICAL.encode; so a mismatch costs
+    time, never a byte."""
+    liner = _LINES.get(event)
+    if liner is not None:
+        try:
+            line = liner(frame, phase, slot, station, detail)
+        except (KeyError, TypeError):  # not the kind's keys, or not a dict
+            line = None
+        if line is not None:
+            return line
+    if not (type(frame) is type(slot) is type(station) is int and isinstance(phase, str)
+            and isinstance(event, str)):
+        return _CANONICAL.encode({
+            "frame": frame, "slot": slot, "phase": phase, "station": station,
+            "event": event, "detail": detail,
+        }) + "\n"
+    string = encode_basestring_ascii
     try:
-        for e in events:
-            if len(e) != 6:
-                yield _CANONICAL.encode(e) + "\n"
-                continue
-            yield (
-                f'{{"detail":{join(detail(e["detail"], 0))},"event":{string(e["event"])},'
-                f'"frame":{e["frame"]:d},"phase":{string(e["phase"])},'
-                f'"slot":{e["slot"]:d},"station":{e["station"]:d}}}\n'
-            )
+        detail = "".join(_encode_detail(detail, 0))
     except BaseException:
         _MARKERS.clear()
         raise
+    return (
+        f'{{"detail":{detail},"event":{string(event)},"frame":{frame:d},'
+        f'"phase":{string(phase)},"slot":{slot:d},"station":{station:d}}}\n'
+    )
+
+
+_ENVELOPE = frozenset(["frame", "slot", "phase", "station", "event", "detail"])
+
+
+def _trace_lines(events):
+    """Each event's canonical line, newline included: _line for a dict
+    with the envelope Simulation._emit writes, _CANONICAL.encode for any
+    other."""
+    for e in events:
+        if e.keys() != _ENVELOPE:
+            yield _CANONICAL.encode(e) + "\n"
+            continue
+        yield _line(e["frame"], e["slot"], e["phase"], e["station"], e["event"], e["detail"])
 
 
 class Trace(list):
     """A run's events, plus the canonical text of its first `sealed` ones.
 
     Simulation only appends to its trace and never changes an event after
-    emitting it, so the text stays valid while len(trace) == sealed. The
-    first serialisation, the digest run() takes, keeps the UTF-8 bytes;
-    serialize_trace swaps them for the str it returns, so the text is
-    held once. A list that is changed in place other than by appending
-    must not be a Trace."""
+    emitting it, so the text stays valid while len(trace) == sealed.
+    run() keeps the UTF-8 bytes, grown frame by frame, and the first
+    serialisation of any other Trace keeps them too; serialize_trace
+    swaps them for the str it returns, so the text is held once. A list
+    that is changed in place other than by appending must not be a
+    Trace."""
 
     sealed = 0
     _text: bytearray | str | None = None
@@ -356,9 +465,10 @@ def _held(events) -> bytearray | str | None:
 
 
 def _canonical(events) -> bytearray | bytes:
-    """The UTF-8 bytes of serialize_trace(events), made through
-    _trace_lines once per Trace (see Trace) and per call otherwise. A
-    Trace's kept buffer itself is returned, so callers only read it.
+    """The UTF-8 bytes of serialize_trace(events): a run's Trace holds them
+    already (see Trace), any other Trace gets them through _trace_lines
+    once, and a plain list on every call. A Trace's kept buffer itself
+    is returned, so callers only read it.
 
     The lines are gathered as bytes, which hold a trace once instead of
     as one str object per event: about 12 MB less peak memory than
@@ -475,7 +585,10 @@ class Simulation:
         self.uplink_ids = [sid for sid in self.ch_ids if sid in to_sink]
 
         # built by _schedule(), dropped by every table change
-        self._cf_plan: list[tuple[list, frozenset, dict]] | None = None
+        self._cf_plan: list[tuple[list, frozenset]] | None = None
+        # CF channel outcomes by ((station, addressee) of each sender that
+        # sent, listeners): what decides one, so they outlive any plan
+        self._outcomes: dict[tuple, tuple[list, list]] = {}
         # each CF slot's start, as an offset from the first one's: run()
         # takes that once per frame, and the sum is the layout's own
         self._cf_offset = [s * self.layout.cf_slot_len_ms for s in range(self.layout.cf_slots)]
@@ -484,6 +597,7 @@ class Simulation:
         self._rp_busy = dict.fromkeys(self.ch_ids, 0)  # RP slots sent or received in
 
         self.trace = Trace()
+        self._lines: list[str] = []  # the lines of the events not folded yet
         self.control_collisions = 0
         self.data_collisions = 0
         self.wasted_slots = 0
@@ -514,7 +628,8 @@ class Simulation:
     def _emit(self, frame: int, slot: int, phase: str, station: int, event: str, **detail):
         # detail values must be JSON-ready (an enum's ._value_, which skips
         # the .value property; lists, not tuples) and never changed
-        # afterwards: the trace keeps them as given
+        # afterwards: the trace keeps them as given, and the line made here
+        # is their text
         self.trace.append(
             {
                 "frame": frame,
@@ -525,6 +640,7 @@ class Simulation:
                 "detail": detail,
             }
         )
+        self._lines.append(_line(frame, slot, phase, station, event, detail))
 
     # Every reservation-table change is reported through these two, so they
     # also drop the cached CF schedule and note the tables with datagram
@@ -536,22 +652,22 @@ class Simulation:
             self._datagram_tables.add(sid)
         self._emit(
             frame, slot, phase, sid, "rt_insert",
-            slot_index=e.cf_slot, tx=e.tx, rx=e.rx, kind=e.kind._value_,
-            established_frame=e.established_frame,
+            established_frame=e.established_frame, kind=e.kind._value_, rx=e.rx,
+            slot_index=e.cf_slot, tx=e.tx,
         )
 
     def _emit_delete(self, frame, slot, phase, sid, e, reason):
         self._cf_plan = None
         self._emit(
             frame, slot, phase, sid, "rt_delete",
-            slot_index=e.cf_slot, tx=e.tx, rx=e.rx, kind=e.kind._value_, reason=reason,
+            kind=e.kind._value_, reason=reason, rx=e.rx, slot_index=e.cf_slot, tx=e.tx,
         )
 
     def _drop(self, frame, slot, phase, sid, pkt):
         # the reason is the one the drop site set on the packet
         self._emit(
             frame, slot, phase, sid, "packet_drop",
-            flow=pkt.flow_id, seq=pkt.seq, reason=pkt.dropped._value_,
+            flow=pkt.flow_id, reason=pkt.dropped._value_, seq=pkt.seq,
         )
 
     # -- run ------------------------------------------------------------------
@@ -571,6 +687,9 @@ class Simulation:
                     flow=fid, path=list(fr.path), mean_deviation=fr.mean_deviation,
                 )
 
+        # each frame's lines are folded into the trace's kept bytes at its
+        # end, so the digest _report takes only hashes them
+        trace, text = self.trace, bytearray()
         for frame in range(self.horizon):
             self._generate(frame)
             for r in range(self.layout.rp_slots):
@@ -579,6 +698,9 @@ class Simulation:
             for s in range(self.layout.cf_slots):
                 self._cf_slot(frame, s)
             self._end_frame(frame)
+            text += "".join(self._lines).encode()
+            self._lines.clear()
+            trace.sealed, trace._text = len(trace), text
         self._fill_energy()
 
         return self._report(), self.trace
@@ -600,7 +722,7 @@ class Simulation:
                 fr.records.append(pkt)
                 self._emit(
                     frame, 0, "RP", fr.attach, "packet_gen",
-                    flow=fid, seq=pkt.seq, created_ms=round(pkt.created_ms, 6),
+                    created_ms=round(pkt.created_ms, 6), flow=fid, seq=pkt.seq,
                 )
                 if fr.path is None:
                     pkt.dropped = DropReason.UNROUTED
@@ -611,7 +733,7 @@ class Simulation:
                     pkt.delivered_ms = pkt.created_ms
                     self._emit(
                         frame, 0, "RP", fr.attach, "data_delivered",
-                        flow=fid, seq=pkt.seq, delay_ms=0.0,
+                        delay_ms=0.0, flow=fid, seq=pkt.seq,
                     )
                     continue
                 self._forward(frame, 0, "RP", fr.attach, fid, pkt)
@@ -862,12 +984,11 @@ class Simulation:
 
     # -- contention-free period ----------------------------------------------
 
-    def _schedule(self) -> list[tuple[list[tuple[int, int, int]], frozenset[int], dict]]:
-        """CF slot -> (senders, listeners, outcomes), the slot's plan by
-        every station's own table: senders is [(station, addressee,
-        flow)] in station order, listeners the stations that receive, and
-        outcomes starts empty for _cf_slot to keep channel outcomes in.
-        A sender's flow is the one whose flow_slots hold the slot. Tables
+    def _schedule(self) -> list[tuple[list[tuple[int, int, int]], frozenset[int]]]:
+        """CF slot -> (senders, listeners), the slot's plan by every
+        station's own table: senders is [(station, addressee, flow)] in
+        station order, and listeners the stations that receive. A
+        sender's flow is the one whose flow_slots hold the slot. Tables
         change only in the RP and at the frame boundary, and flow_slots
         only in the same step as its station's table, so this is rebuilt
         at most once per frame."""
@@ -883,9 +1004,7 @@ class Simulation:
                         senders[e.cf_slot].append((sid, e.rx, flow_of[e.cf_slot]))
                     elif e.rx == sid:
                         listeners[e.cf_slot].append(sid)
-            self._cf_plan = [
-                (senders[s], frozenset(listeners[s]), {}) for s in slots
-            ]
+            self._cf_plan = [(senders[s], frozenset(listeners[s])) for s in slots]
         return self._cf_plan
 
     def _resolve_data(self, sent, listeners) -> tuple[list, list]:
@@ -893,7 +1012,8 @@ class Simulation:
         [(station, flow, packet, addressee)] send: ([(listener, index into
         sent)] for each packet its addressee receives, [(listener, sorted
         colliding senders)]), both in listener order. It depends only on
-        who sends under one plan, so _cf_slot keeps it in the plan."""
+        each sender's station and addressee, in order, and the listeners,
+        so _cf_slot keeps it by those."""
         channel = [
             Transmission(
                 sender=sid, payload=i,
@@ -926,7 +1046,7 @@ class Simulation:
                 due = min(due, q.next_deadline)
             self._next_due = due
 
-        senders, listeners, outcomes = self._schedule()[s]
+        senders, listeners = self._schedule()[s]
         sent = []
         for sid, to, fid in senders:
             q = self.sts[sid].queues[fid]
@@ -939,11 +1059,12 @@ class Simulation:
             sent.append((sid, fid, pkt, to))
             self._emit(frame, s, "CFP", sid, "data_tx", flow=fid, seq=pkt.seq, to=to)
 
-        # the outcome is resolved once per set of senders under one plan
+        # the outcome is resolved once per senders and listeners in a run
         slot_tx = tuple(x[0] for x in sent)
-        outcome = outcomes.get(slot_tx)
+        key = (tuple([(x[0], x[3]) for x in sent]), listeners)
+        outcome = self._outcomes.get(key)
         if outcome is None:
-            outcome = outcomes[slot_tx] = self._resolve_data(sent, listeners)
+            outcome = self._outcomes[key] = self._resolve_data(sent, listeners)
         delivered, collisions = outcome
         for rho, colliding in collisions:
             self.data_collisions += 1
@@ -953,13 +1074,13 @@ class Simulation:
         for rho, i in delivered:
             sid, fid, pkt, _ = sent[i]
             heard.add(rho)
-            self._emit(frame, s, "CFP", rho, "data_rx", flow=fid, seq=pkt.seq, sender=sid)
+            self._emit(frame, s, "CFP", rho, "data_rx", flow=fid, sender=sid, seq=pkt.seq)
             fr = self.flows[fid]
             if rho == fr.flow.dst:
                 pkt.delivered_ms = slot_end
                 self._emit(
                     frame, s, "CFP", rho, "data_delivered",
-                    flow=fid, seq=pkt.seq, delay_ms=round(pkt.delay_ms, 6),
+                    delay_ms=round(pkt.delay_ms, 6), flow=fid, seq=pkt.seq,
                 )
             else:
                 self._forward(frame, s, "CFP", rho, fid, pkt)
@@ -987,7 +1108,7 @@ class Simulation:
             self._emit(frame, s, "CFP", sid, "uplink_tx", flow=pkt.flow_id, seq=pkt.seq)
             self._emit(
                 frame, s, "CFP", self.sink, "data_delivered",
-                flow=pkt.flow_id, seq=pkt.seq, delay_ms=round(pkt.delay_ms, 6),
+                delay_ms=round(pkt.delay_ms, 6), flow=pkt.flow_id, seq=pkt.seq,
             )
 
         # stations with no part in the slot sleep; that is booked at the

@@ -181,16 +181,16 @@ def churn(horizon=80):
 
 
 def count_trace_lines(monkeypatch):
-    """Counts every event line the engine serialises from now on, by
-    counting calls of its detail encoder, which every caller of
-    engine._trace_lines reaches; returns a one-item list holding the
-    count."""
+    """Counts every event line the engine makes from now on, by counting
+    calls of engine._line, which makes each line, templated or not, for
+    Simulation._emit and for engine._trace_lines alike; returns a one-item
+    list holding the count."""
     made = [0]
-    real = engine._encode_detail
+    real = engine._line
 
-    def counted(detail, level):
+    def counted(*args):
         made[0] += 1
-        return real(detail, level)
+        return real(*args)
 
-    monkeypatch.setattr(engine, "_encode_detail", counted)
+    monkeypatch.setattr(engine, "_line", counted)
     return made

@@ -171,6 +171,10 @@ def test_sweep_writes_per_seed_and_summary(tmp_path, capsys):
         assert float(r["delivery_ratio"]) > 0.9
         report, _ = Simulation(sc, int(r["seed"])).run()
         assert r["trace_digest"] == report.trace_digest
+        # the run's slot counts, on each of its flow rows
+        assert int(r["control_collisions"]) == report.control_collisions
+        assert int(r["data_collisions"]) == report.data_collisions
+        assert int(r["wasted_slots"]) == report.wasted_slots
 
 
 def test_sweep_exit_code_reflects_worst_seed(tmp_path, capsys):
@@ -179,7 +183,12 @@ def test_sweep_exit_code_reflects_worst_seed(tmp_path, capsys):
     out = tmp_path / "sw"
     rc = main(["sweep", "--scenario", path, "--seeds", "2", "--out", str(out)])
     assert rc == 2
-    assert all(r["audits"] == "fail" for r in read_csv(out / "sweep.csv"))
+    rows = read_csv(out / "sweep.csv")
+    assert all(r["audits"] == "fail" for r in rows)
+    sc = from_dict(helpers.hidden_terminal())
+    for r in rows:
+        report, _ = Simulation(sc, int(r["seed"])).run()
+        assert int(r["control_collisions"]) == report.control_collisions > 0
 
 
 def test_validate_ok_and_failure(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pickle
 import random
 import sys
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from wmsnsim import (
     trace_digest,
 )
 from wmsnsim import engine
+from wmsnsim.mac import ReservationKind
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import line_mixed  # noqa: E402
@@ -547,7 +549,8 @@ def test_line_mixed_pins_every_flow_stat():
 class OutcomeChecked(Simulation):
     """After each CF slot, re-resolves the slot's full transmission list,
     built from the slot's data_tx events and the tables, and checks the
-    channel outcome the plan keeps for those senders against it."""
+    channel outcome the run keeps for those senders and listeners against
+    it."""
 
     slots_checked = 0
     collisions_checked = 0
@@ -574,8 +577,8 @@ class OutcomeChecked(Simulation):
             [(rho, t.payload) for rho, t in delivered.items() if t.to == rho],
             sorted(collisions.items()),
         )
-        outcomes = self._schedule()[s][2]
-        assert outcomes[tuple(t.sender for t in channel)] == want, (frame, s)
+        key = (tuple((t.sender, t.to) for t in channel), frozenset(listeners))
+        assert self._outcomes[key] == want, (frame, s)
         self.slots_checked += 1
         self.collisions_checked += len(collisions)
 
@@ -608,10 +611,9 @@ def test_kept_cf_outcomes_match_a_fresh_resolve_at_every_cf_slot(data, seed, dig
     assert report.trace_digest == digest
 
 
-def test_cf_slots_resolve_the_channel_once_per_plan_and_sender_set(monkeypatch):
-    # the 60-frame grid-6 pin below: persistent reservations give most CF
-    # slots the same plan and the same senders frame after frame, where
-    # every CF slot once resolved its channel anew (1,200 calls)
+def cf_resolves(monkeypatch, data, seed=0):
+    """Run data; return (report, CF slots played, resolve_slot calls made
+    inside them)."""
     in_cf, calls = [False], [0]
     real = engine.resolve_slot
 
@@ -629,13 +631,33 @@ def test_cf_slots_resolve_the_channel_once_per_plan_and_sender_set(monkeypatch):
             in_cf[0] = False
 
     monkeypatch.setattr(engine, "resolve_slot", counted)
-    data = helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=60, rf=200.0)
-    sim = Counted(from_dict(data), seed=0)
+    sim = Counted(from_dict(data), seed=seed)
     report, _ = sim.run()
-    assert sim.slots == 1200
-    assert 0 < calls[0] <= 300
+    return report, sim.slots, calls[0]
+
+
+def test_cf_slots_resolve_the_channel_once_per_plan_and_sender_set(monkeypatch):
+    # the 60-frame grid-6 pin below: persistent reservations give most CF
+    # slots the same plan and the same senders frame after frame, where
+    # every CF slot once resolved its channel anew (1,200 calls)
+    data = helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=60, rf=200.0)
+    report, slots, calls = cf_resolves(monkeypatch, data)
+    assert slots == 1200
+    assert 0 < calls <= 300
     assert report.trace_digest == (
         "5d9cfc3019ad1e18be50ebcd92bb524de5c163610d0f5763d68ddd166b85872e"
+    )
+
+
+def test_cf_outcomes_outlive_table_changes(monkeypatch):
+    # churn's datagram entries change some table every frame, which once
+    # threw every kept outcome away (1,600 calls); an outcome is kept by
+    # the senders with their addressees and the listeners instead
+    report, slots, calls = cf_resolves(monkeypatch, helpers.churn())
+    assert slots == 1600
+    assert calls == 8
+    assert report.trace_digest == (
+        "67b6746460916ebe6c3837a2945405b2becc10be441f84e02a2901cb47c0b080"
     )
 
 
@@ -838,6 +860,101 @@ def test_engine_events_are_json_ready_and_unshared():
                 stack.extend(v)
     # a list the engine changed after emitting it would move the digest
     assert report.trace_digest == trace_digest(trace)
+
+
+# the tier-1 pin scenarios and churn
+LINE_CORPUS = [
+    helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=60, rf=200.0),
+    helpers.churn(),
+    helpers.wide_footprint_grid(),
+    dict(
+        helpers.grid(4, flows=helpers.grid_flows(4, 3), horizon=40, slotting=False, rf=150.0),
+        channel={"interference_multiplier": 1.5},
+    ),
+]
+
+
+def test_every_emitted_line_is_its_events_canonical_json(monkeypatch):
+    made, encoded = [], [0]
+    real_line, real_encode = engine._line, engine._encode_detail
+
+    def kept(*args):
+        made.append(real_line(*args))
+        return made[-1]
+
+    def counted(detail, level):
+        encoded[0] += 1
+        return real_encode(detail, level)
+
+    monkeypatch.setattr(engine, "_line", kept)
+    monkeypatch.setattr(engine, "_encode_detail", counted)
+    kinds = set()
+    for data in LINE_CORPUS:
+        made.clear()
+        encoded[0] = 0
+        report, trace = run(data)
+        assert made == [canonical([e]) for e in trace]
+        assert sha256_hex("".join(made)) == report.trace_digest
+        # only the kinds without a template reach the C encoder
+        assert encoded[0] == sum(e["event"] not in engine._SHAPES for e in trace)
+        kinds.update(e["event"] for e in trace)
+    assert set(engine._SHAPES) <= kinds
+
+
+def test_templates_quote_only_strings_json_leaves_as_they_are():
+    assert {"RP", "CFP", "cancel", "overwrite", "expire", "unrouted"} <= engine._QUOTABLE
+    for v in engine._QUOTABLE:
+        assert encode_basestring_ascii(v) == f'"{v}"'
+
+
+def test_an_event_off_its_kinds_shape_still_comes_out_canonical():
+    nan, inf = float("nan"), float("inf")
+    made = [
+        # keys out of order, missing or extra
+        ("data_tx", {"to": 4, "seq": 2, "flow": 1}),
+        ("data_tx", {"flow": 1, "seq": 2}),
+        ("data_tx", {"flow": 1, "seq": 2, "to": 4, "x": 0}),
+        ("wasted_slot", {}),
+        # None, True, a float where an int goes, a string
+        ("data_tx", {"flow": None, "seq": 2, "to": 4}),
+        ("data_rx", {"flow": 1, "sender": True, "seq": 2}),
+        ("uplink_tx", {"flow": 1, "seq": 2.5}),
+        ("wasted_slot", {"flow": "1"}),
+        ("rt_insert", {"established_frame": False, "kind": "datagram", "rx": 3,
+                       "slot_index": 1.0, "tx": 2}),
+        # a string JSON must escape, or one of another type
+        ("rt_delete", {"kind": "datagram", "reason": 'quo"te', "rx": 3, "slot_index": 1,
+                       "tx": 2}),
+        ("packet_drop", {"flow": 1, "reason": "caf\u00e9", "seq": 2}),
+        ("rt_delete", {"kind": ["datagram"], "reason": "expire", "rx": 3, "slot_index": 1,
+                       "tx": 2}),
+        ("packet_drop", {"flow": 1, "reason": ReservationKind.DATAGRAM, "seq": 2}),
+        # floats that are not finite, an int where a float goes, and
+        # floats the template does take
+        ("packet_gen", {"created_ms": nan, "flow": 1, "seq": 2}),
+        ("data_delivered", {"delay_ms": -inf, "flow": 1, "seq": 2}),
+        ("packet_gen", {"created_ms": 7, "flow": 1, "seq": 2}),
+        ("packet_gen", {"created_ms": None, "flow": 1, "seq": 2}),
+        ("data_delivered", {"delay_ms": -0.0, "flow": 1, "seq": 2**63}),
+        ("data_delivered", {"delay_ms": 1e16, "flow": 1, "seq": 2}),
+    ]
+    sim = Simulation(from_dict(helpers.two_hop(horizon=2)), seed=0)
+    for event, detail in made:
+        sim._emit(0, 1, "CFP", 2, event, **detail)
+    sim._emit(0, 1, 'C"FP', 2, "wasted_slot", flow=1)  # a phase JSON must escape
+    report, trace = sim.run()
+    assert [e["detail"] for e in trace[:len(made)]] == [d for _, d in made]
+    assert serialize_trace(trace) == canonical(trace)
+    assert report.trace_digest == sha256_hex(canonical(trace))
+    # in a trace read back: a detail key that is an envelope key, an
+    # envelope value of another type, six keys that are not the envelope's
+    e = trace[-1]
+    read = [
+        dict(e, event="frame_end", detail={"frame": 3}),
+        dict(e, frame=True), dict(e, slot=2.0), dict(e, station=None), dict(e, event=7),
+        {"a": 1, "b": 2, "c": 3, "d": 4, "e": 5, "f": 6},
+    ]
+    assert serialize_trace(read) == canonical(read)
 
 
 def sha256_hex(text):
