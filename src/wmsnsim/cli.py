@@ -208,6 +208,10 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        # no seed run would pass as "every audit passed"
+        print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
+        return 1
     sc = _load_scenario(args)
     if sc is None:
         return 1

@@ -40,18 +40,24 @@ non-ASCII character as \\uXXXX).
 serialize_trace joins those lines, and trace_digest is the SHA-256 of
 their UTF-8 bytes, which a written trace.jsonl holds byte for byte.
 
-A run's trace is serialised once, as it is emitted. _emit makes each
-event's line when it appends the event: from its kind's printf template
-in _TEMPLATES when the event has the kind's shape, from the C detail
-encoder otherwise. At the end of each frame run() folds the frame's
-lines into the UTF-8 bytes Simulation.trace keeps (a Trace, a list that
-also holds its canonical text), so the digest run() takes only hashes
-them, and serialize_trace, trace_digest and `wmsnsim run --trace` reuse
-them for as long as no event has been appended.
+A run's trace is serialised once, as it is emitted. Each kind in
+_SHAPES has its own emitter, Simulation._emit_<kind>, compiled from
+_SHAPES: it takes the detail's values as arguments and fills the kind's
+printf template in _TEMPLATES when they have the kind's types. _emit
+emits the other kinds, and _line makes their lines, and those of an
+off-type value, with the C detail encoder. At the end of each frame
+run() folds the frame's lines into the UTF-8 bytes Simulation.trace
+keeps (a Trace, a list that also holds its canonical text), so the
+digest run() takes only hashes them, and serialize_trace, trace_digest
+and `wmsnsim run --trace` reuse them for as long as no event has been
+appended. run() pauses the cyclic collector over its frames: a run makes
+no reference cycles, so each pass would only re-walk every event dict of
+the growing trace and free nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -362,54 +368,55 @@ def _template(event, shape):
 _TEMPLATES = {event: _template(event, shape) for event, shape in _SHAPES.items()}
 
 
-def _liner(event, shape):
-    """A function of (frame, phase, slot, station, detail) that fills the
-    kind's template when the detail has exactly the kind's keys and every
-    value has its type in _SHAPES (an int not a bool, a str quotable, a
-    float finite), and returns None otherwise. A detail short of a key
-    raises KeyError.
+_INF = math.inf
 
-    The function is compiled from _SHAPES, never from input, so that each
-    check is one inline type test: a generic check that mapped type()
-    over the values took about as long as the template saved."""
-    values = [f"v{i}" for i in range(len(shape))] + ["frame", "phase", "slot", "station"]
+
+def _emitter(event, shape):
+    """Simulation._emit_<event>(frame, slot, phase, station, *, <the
+    kind's keys>): it appends the event, with its detail in key order,
+    and the event's line. The line fills the kind's template when every
+    value has its type in _SHAPES (an int not a bool, a str in _QUOTABLE,
+    a finite float) and the envelope its own (int frame, slot and
+    station, a str phase in _QUOTABLE); any other comes from _line.
+
+    The method is compiled from _SHAPES, never from input, so that each
+    value arrives as an argument and each check is one inline type test:
+    a generic check that mapped type() over a detail's values took about
+    as long as the template saved."""
+    keys = [k for k, _ in shape]
+    values = keys + ["frame", "phase", "slot", "station"]
     types = [t for _, t in shape] + [int, str, int, int]
     tests = [f"type({v}) is {t.__name__}" for v, t in zip(values, types)]
     tests += [f"{v} in _QUOTABLE" for v, t in zip(values, types) if t is str]
     tests += [f"-_INF < {v} < _INF" for v, t in zip(values, types) if t is float]
+    name = f"_emit_{event}"
+    params = "".join(f", {k}" for k in keys)
     src = (
-        f"def {event}(frame, phase, slot, station, detail):\n"
-        f"    if len(detail) == {len(shape)}:\n"
-        + "".join(f"        v{i} = detail[{k!r}]\n" for i, (k, _) in enumerate(shape))
-        + f"        if {' and '.join(tests)}:\n"
-        f"            return _FMT % ({', '.join(values)},)\n"
+        f"def {name}(self, frame, slot, phase, station{', *' if keys else ''}{params}):\n"
+        f"    detail = {{{', '.join(f'{k!r}: {k}' for k in keys)}}}\n"
+        "    self.trace.append({'frame': frame, 'slot': slot, 'phase': phase,"
+        f" 'station': station, 'event': {event!r}, 'detail': detail}})\n"
+        f"    if {' and '.join(tests)}:\n"
+        f"        self._lines.append({_TEMPLATES[event]!r} % ({', '.join(values)},))\n"
+        "    else:\n"
+        f"        self._lines.append(_line(frame, slot, phase, station, {event!r}, detail))\n"
     )
-    scope = {"_FMT": _TEMPLATES[event], "_QUOTABLE": _QUOTABLE, "_INF": math.inf}
-    exec(src, scope)
-    return scope[event]
-
-
-_LINES = {event: _liner(event, shape) for event, shape in _SHAPES.items()}
+    # compiled in this module's globals: _line, _QUOTABLE and _INF are
+    # looked up here when the method runs
+    scope = {}
+    exec(src, globals(), scope)
+    return scope[name]
 
 
 def _line(frame, slot, phase, station, event, detail):
     """The canonical line of the event with these six envelope values,
-    newline included: what _CANONICAL.encode gives for it. Every line of
-    a trace is made here.
+    newline included: what _CANONICAL.encode gives for it. It makes the
+    lines of the irregular kinds (Simulation._emit), those the kinds'
+    emitters cannot template (see _emitter) and those of _trace_lines.
 
-    An event of a kind in _SHAPES whose detail has the kind's keys (in
-    any order) and types takes the kind's template; any other event with
-    int frame, slot and station and str phase and event takes the reused
-    C detail encoder, and the rest _CANONICAL.encode; so a mismatch costs
-    time, never a byte."""
-    liner = _LINES.get(event)
-    if liner is not None:
-        try:
-            line = liner(frame, phase, slot, station, detail)
-        except (KeyError, TypeError):  # not the kind's keys, or not a dict
-            line = None
-        if line is not None:
-            return line
+    With int frame, slot and station and str phase and event it takes the
+    reused C detail encoder, and otherwise _CANONICAL.encode; so an
+    off-type value costs time, never a byte."""
     if not (type(frame) is type(slot) is type(station) is int and isinstance(phase, str)
             and isinstance(event, str)):
         return _CANONICAL.encode({
@@ -625,6 +632,10 @@ class Simulation:
 
     # -- trace helpers -------------------------------------------------------
 
+    # An event of a kind in _SHAPES is emitted by its kind's compiled
+    # method, _emit_<kind> (see _emitter, set after this class); any other
+    # by _emit.
+
     def _emit(self, frame: int, slot: int, phase: str, station: int, event: str, **detail):
         # detail values must be JSON-ready (an enum's ._value_, which skips
         # the .value property; lists, not tuples) and never changed
@@ -650,23 +661,23 @@ class Simulation:
         self._cf_plan = None
         if e.kind is ReservationKind.DATAGRAM:
             self._datagram_tables.add(sid)
-        self._emit(
-            frame, slot, phase, sid, "rt_insert",
+        self._emit_rt_insert(
+            frame, slot, phase, sid,
             established_frame=e.established_frame, kind=e.kind._value_, rx=e.rx,
             slot_index=e.cf_slot, tx=e.tx,
         )
 
     def _emit_delete(self, frame, slot, phase, sid, e, reason):
         self._cf_plan = None
-        self._emit(
-            frame, slot, phase, sid, "rt_delete",
+        self._emit_rt_delete(
+            frame, slot, phase, sid,
             kind=e.kind._value_, reason=reason, rx=e.rx, slot_index=e.cf_slot, tx=e.tx,
         )
 
     def _drop(self, frame, slot, phase, sid, pkt):
         # the reason is the one the drop site set on the packet
-        self._emit(
-            frame, slot, phase, sid, "packet_drop",
+        self._emit_packet_drop(
+            frame, slot, phase, sid,
             flow=pkt.flow_id, reason=pkt.dropped._value_, seq=pkt.seq,
         )
 
@@ -688,19 +699,26 @@ class Simulation:
                 )
 
         # each frame's lines are folded into the trace's kept bytes at its
-        # end, so the digest _report takes only hashes them
+        # end, so the digest _report takes only hashes them. The cyclic
+        # collector is paused over the frames (see the module docstring).
         trace, text = self.trace, bytearray()
-        for frame in range(self.horizon):
-            self._generate(frame)
-            for r in range(self.layout.rp_slots):
-                self._rp_slot(frame, r)
-            self._cfp_start = self.layout.cf_slot_start_ms(frame, 0)
-            for s in range(self.layout.cf_slots):
-                self._cf_slot(frame, s)
-            self._end_frame(frame)
-            text += "".join(self._lines).encode()
-            self._lines.clear()
-            trace.sealed, trace._text = len(trace), text
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for frame in range(self.horizon):
+                self._generate(frame)
+                for r in range(self.layout.rp_slots):
+                    self._rp_slot(frame, r)
+                self._cfp_start = self.layout.cf_slot_start_ms(frame, 0)
+                for s in range(self.layout.cf_slots):
+                    self._cf_slot(frame, s)
+                self._end_frame(frame)
+                text += "".join(self._lines).encode()
+                self._lines.clear()
+                trace.sealed, trace._text = len(trace), text
+        finally:
+            if collecting:
+                gc.enable()
         self._fill_energy()
 
         return self._report(), self.trace
@@ -720,8 +738,8 @@ class Simulation:
                 continue
             for pkt in fr.source.packets_for_window(start, end):
                 fr.records.append(pkt)
-                self._emit(
-                    frame, 0, "RP", fr.attach, "packet_gen",
+                self._emit_packet_gen(
+                    frame, 0, "RP", fr.attach,
                     created_ms=round(pkt.created_ms, 6), flow=fid, seq=pkt.seq,
                 )
                 if fr.path is None:
@@ -731,9 +749,8 @@ class Simulation:
                 if not fr.next_hop:
                     # source attached directly at the destination
                     pkt.delivered_ms = pkt.created_ms
-                    self._emit(
-                        frame, 0, "RP", fr.attach, "data_delivered",
-                        delay_ms=0.0, flow=fid, seq=pkt.seq,
+                    self._emit_data_delivered(
+                        frame, 0, "RP", fr.attach, delay_ms=0.0, flow=fid, seq=pkt.seq,
                     )
                     continue
                 self._forward(frame, 0, "RP", fr.attach, fid, pkt)
@@ -1053,11 +1070,11 @@ class Simulation:
             pkt = q.head_ready(slot_start)
             if pkt is None:
                 self.wasted_slots += 1
-                self._emit(frame, s, "CFP", sid, "wasted_slot", flow=fid)
+                self._emit_wasted_slot(frame, s, "CFP", sid, flow=fid)
                 continue
             q.pop()
             sent.append((sid, fid, pkt, to))
-            self._emit(frame, s, "CFP", sid, "data_tx", flow=fid, seq=pkt.seq, to=to)
+            self._emit_data_tx(frame, s, "CFP", sid, flow=fid, seq=pkt.seq, to=to)
 
         # the outcome is resolved once per senders and listeners in a run
         slot_tx = tuple(x[0] for x in sent)
@@ -1074,12 +1091,12 @@ class Simulation:
         for rho, i in delivered:
             sid, fid, pkt, _ = sent[i]
             heard.add(rho)
-            self._emit(frame, s, "CFP", rho, "data_rx", flow=fid, sender=sid, seq=pkt.seq)
+            self._emit_data_rx(frame, s, "CFP", rho, flow=fid, sender=sid, seq=pkt.seq)
             fr = self.flows[fid]
             if rho == fr.flow.dst:
                 pkt.delivered_ms = slot_end
-                self._emit(
-                    frame, s, "CFP", rho, "data_delivered",
+                self._emit_data_delivered(
+                    frame, s, "CFP", rho,
                     delay_ms=round(pkt.delay_ms, 6), flow=fid, seq=pkt.seq,
                 )
             else:
@@ -1105,9 +1122,9 @@ class Simulation:
             pkt.delivered_ms = slot_end
             uplinked = True
             self.meter.add(sid, "tx")
-            self._emit(frame, s, "CFP", sid, "uplink_tx", flow=pkt.flow_id, seq=pkt.seq)
-            self._emit(
-                frame, s, "CFP", self.sink, "data_delivered",
+            self._emit_uplink_tx(frame, s, "CFP", sid, flow=pkt.flow_id, seq=pkt.seq)
+            self._emit_data_delivered(
+                frame, s, "CFP", self.sink,
                 delay_ms=round(pkt.delay_ms, 6), flow=pkt.flow_id, seq=pkt.seq,
             )
 
@@ -1124,7 +1141,7 @@ class Simulation:
 
     def _end_frame(self, frame: int) -> None:
         last = self.layout.cf_slots - 1
-        self._emit(frame, last, "CFP", -1, "frame_end")
+        self._emit_frame_end(frame, last, "CFP", -1)
         for sid in sorted(self._datagram_tables):
             st = self.sts[sid]
             for e in st.mac.end_of_frame_cleanup(frame):
@@ -1222,6 +1239,11 @@ class Simulation:
             },
         )
         return report
+
+
+for _kind in _SHAPES:
+    setattr(Simulation, f"_emit_{_kind}", _emitter(_kind, _SHAPES[_kind]))
+del _kind
 
 
 def run_simulation(scenario, seed: int = 0) -> tuple[SimReport, list[dict]]:

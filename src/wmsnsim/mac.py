@@ -328,15 +328,15 @@ class StationMac:
         inserted = []
         displaced = []
         for s in srb.slots:
+            cur = self.rt.get(s)
+            if cur and (cur.tx, cur.rx, cur.kind) == (srb.src, srb.peer, srb.entry_kind):
+                continue
+            if cur and self.owner in (cur.tx, cur.rx):
+                continue
             e = ReservationEntry(
                 cf_slot=s, tx=srb.src, rx=srb.peer, kind=srb.entry_kind,
                 established_frame=frame,
             )
-            cur = self.rt.get(s)
-            if cur and (cur.tx, cur.rx, cur.kind) == (e.tx, e.rx, e.kind):
-                continue
-            if cur and self.owner in (cur.tx, cur.rx):
-                continue
             old = self.rt.insert(e)
             if old is not None:
                 displaced.append(old)

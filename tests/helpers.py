@@ -180,17 +180,36 @@ def churn(horizon=80):
     return base(stations, flows, horizon=horizon, faults=faults)
 
 
-def count_trace_lines(monkeypatch):
-    """Counts every event line the engine makes from now on, by counting
-    calls of engine._line, which makes each line, templated or not, for
-    Simulation._emit and for engine._trace_lines alike; returns a one-item
-    list holding the count."""
-    made = [0]
-    real = engine._line
+def record_trace_lines(monkeypatch):
+    """Records every event line the engine makes from now on, in order;
+    returns the list it fills. Each kind in engine._SHAPES has its own
+    emitter, Simulation._emit_<kind>, which makes its event's line, and
+    engine._line makes every other: those of Simulation._emit and of
+    engine._trace_lines, and an emitter's line when the kind's template
+    does not fit. A _line call inside an emitter makes that emitter's
+    line, so it is recorded once."""
+    made = []
+    inside = [False]
+    real_line = engine._line
 
-    def counted(*args):
-        made[0] += 1
-        return real(*args)
+    def line(*args):
+        text = real_line(*args)
+        if not inside[0]:
+            made.append(text)
+        return text
 
-    monkeypatch.setattr(engine, "_line", counted)
+    def recorded(emit):
+        def emitter(self, *args, **detail):
+            inside[0] = True
+            try:
+                emit(self, *args, **detail)
+            finally:
+                inside[0] = False
+            made.append(self._lines[-1])
+        return emitter
+
+    monkeypatch.setattr(engine, "_line", line)
+    for kind in engine._SHAPES:
+        name = f"_emit_{kind}"
+        monkeypatch.setattr(engine.Simulation, name, recorded(getattr(engine.Simulation, name)))
     return made

@@ -57,12 +57,12 @@ def test_run_writes_metrics_and_trace(tmp_path, capsys):
 def test_run_trace_serialises_each_event_once(tmp_path, monkeypatch):
     data = helpers.two_hop(horizon=40)
     events = len(Simulation(from_dict(data), seed=0).run()[1])
-    made = helpers.count_trace_lines(monkeypatch)
+    made = helpers.record_trace_lines(monkeypatch)
     out = tmp_path / "out"
     rc = main(["run", "--scenario", write_scenario(tmp_path, data), "--out", str(out), "--trace"])
     assert rc == 0
     assert (out / "trace.jsonl").read_bytes().count(b"\n") == events
-    assert made[0] == events
+    assert len(made) == events
 
 
 def test_run_exit_code_reflects_headline_audits(tmp_path):
@@ -189,6 +189,16 @@ def test_sweep_exit_code_reflects_worst_seed(tmp_path, capsys):
     for r in rows:
         report, _ = Simulation(sc, int(r["seed"])).run()
         assert int(r["control_collisions"]) == report.control_collisions > 0
+
+
+def test_sweep_rejects_fewer_than_one_seed(tmp_path, capsys):
+    # a sweep that ran nothing must not exit 0, which says every audit passed
+    path = write_scenario(tmp_path, helpers.two_hop(horizon=10))
+    for n in ("0", "-2"):
+        out = tmp_path / f"sw{n}"
+        assert main(["sweep", "--scenario", path, "--seeds", n, "--out", str(out)]) == 1
+        assert "--seeds must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_validate_ok_and_failure(tmp_path, capsys):

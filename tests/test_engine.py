@@ -1,6 +1,7 @@
 """End-to-end engine behavior: channel resolution, scheduling, energy,
 faults, determinism."""
 
+import gc
 import hashlib
 import json
 import math
@@ -875,18 +876,13 @@ LINE_CORPUS = [
 
 
 def test_every_emitted_line_is_its_events_canonical_json(monkeypatch):
-    made, encoded = [], [0]
-    real_line, real_encode = engine._line, engine._encode_detail
-
-    def kept(*args):
-        made.append(real_line(*args))
-        return made[-1]
+    made, encoded = helpers.record_trace_lines(monkeypatch), [0]
+    real_encode = engine._encode_detail
 
     def counted(detail, level):
         encoded[0] += 1
         return real_encode(detail, level)
 
-    monkeypatch.setattr(engine, "_line", kept)
     monkeypatch.setattr(engine, "_encode_detail", counted)
     kinds = set()
     for data in LINE_CORPUS:
@@ -937,13 +933,34 @@ def test_an_event_off_its_kinds_shape_still_comes_out_canonical():
         ("packet_gen", {"created_ms": None, "flow": 1, "seq": 2}),
         ("data_delivered", {"delay_ms": -0.0, "flow": 1, "seq": 2**63}),
         ("data_delivered", {"delay_ms": 1e16, "flow": 1, "seq": 2}),
+        ("data_delivered", {"delay_ms": inf, "flow": 1, "seq": 2}),
     ]
+    # every case with its kind's keys also goes through the kind's emitter,
+    # as does, for each value of each kind, one off that value alone: True
+    # (an int that %d, %r and "%s" all write otherwise than JSON), a string
+    # JSON must escape, and NaN
+    emitted = [(e, d) for e, d in made if sorted(d) == [k for k, _ in engine._SHAPES[e]]]
+    good = {int: 1, float: 1.5, str: "cancel"}
+    off = {int: [True], float: [True, nan], str: [True, 'quo"te']}
+    for event, shape in engine._SHAPES.items():
+        for key, t in shape:
+            emitted += [(event, dict({k: good[u] for k, u in shape}, **{key: v})) for v in off[t]]
+    envelopes = [(True, 1, "CFP", 2), (0, 2.0, "CFP", 2), (0, 1, "CFP", None),
+                 (0, 1, True, 2), (0, 1, 'C"FP', 2), (0, True, "RP", 2), (0, 1, "CFP", True)]
     sim = Simulation(from_dict(helpers.two_hop(horizon=2)), seed=0)
     for event, detail in made:
         sim._emit(0, 1, "CFP", 2, event, **detail)
     sim._emit(0, 1, 'C"FP', 2, "wasted_slot", flow=1)  # a phase JSON must escape
+    for event, detail in emitted:
+        getattr(sim, f"_emit_{event}")(0, 1, "CFP", 2, **detail)
+    for event, shape in engine._SHAPES.items():
+        for envelope in envelopes:
+            getattr(sim, f"_emit_{event}")(*envelope, **{k: good[t] for k, t in shape})
     report, trace = sim.run()
     assert [e["detail"] for e in trace[:len(made)]] == [d for _, d in made]
+    start = len(made) + 1
+    assert len(emitted) > len(made)
+    assert [(e["event"], e["detail"]) for e in trace[start:start + len(emitted)]] == emitted
     assert serialize_trace(trace) == canonical(trace)
     assert report.trace_digest == sha256_hex(canonical(trace))
     # in a trace read back: a detail key that is an envelope key, an
@@ -957,16 +974,59 @@ def test_an_event_off_its_kinds_shape_still_comes_out_canonical():
     assert serialize_trace(read) == canonical(read)
 
 
+def test_run_pauses_the_collector_over_its_frames_and_restores_the_callers_setting():
+    seen = []
+
+    class Watched(Simulation):
+        def _end_frame(self, frame):
+            seen.append(gc.isenabled())
+            super()._end_frame(frame)
+
+    class Failing(Simulation):
+        def _cf_slot(self, frame, s):
+            raise RuntimeError("cf slot")
+
+    sc = from_dict(helpers.two_hop(horizon=5))
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        Watched(sc, seed=0).run()
+        assert gc.isenabled() and seen == [False] * 5
+        gc.disable()
+        Watched(sc, seed=0).run()
+        assert not gc.isenabled()
+        gc.enable()
+        with pytest.raises(RuntimeError, match="cf slot"):
+            Failing(sc, seed=0).run()
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_run_leaves_no_reference_cycles():
+    # why run() may pause the collector: a pass after it finds nothing
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for data in LINE_CORPUS:
+            run(data)
+            assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
+
 def sha256_hex(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_a_run_serialises_each_event_once(monkeypatch):
-    made = helpers.count_trace_lines(monkeypatch)
+    made = helpers.record_trace_lines(monkeypatch)
     report, trace = run(helpers.churn())
     assert serialize_trace(trace) == canonical(trace)
     assert trace_digest(trace) == report.trace_digest
-    assert made[0] == len(trace)
+    assert len(made) == len(trace)
 
 
 def test_a_trace_keeps_its_text_only_while_no_event_is_added():
