@@ -25,6 +25,16 @@ reserved packet); idle listening in the RP and sleep are booked in bulk
 at the end of the run. The frame boundary visits only tables that hold
 a datagram entry.
 
+An RP slot in which some owner contends is a message loop. The
+contenders' requests and cancels make the first channel; every message
+a channel delivers goes to _hear, in receiver order, and the replies
+_hear returns make the next channel, until no reply goes out: requests
+and cancels draw accepts and cancel-acks, and an accept draws the
+reservation broadcast. _hear states each message's rule once: whoever
+hears a cancel or its ack drops the reservation it names, a bystander
+records a broadcast, and the addressee answers a request or a cancel,
+or completes the handshake or cancellation it began.
+
 The simulation emits a structured event trace. Post-run audits
 (see audit.py) replay that trace against the topology to check the
 protocol's correctness properties; the engine itself never consults
@@ -878,8 +888,10 @@ class Simulation:
         slot_tx: set[int] = set()
         slot_rx: set[int] = set()
         inflight: dict[int, tuple] = {}
+        handshakes = []
 
-        # sub-round 1: requests and cancels
+        # requests and cancels make the first channel, each channel's
+        # replies the next
         channel: list[Transmission] = []
         for sid, act in proceed:
             st = self.sts[sid]
@@ -896,89 +908,14 @@ class Simulation:
                 msg = st.mac.build_cancel(peer, slots)
             inflight[sid] = act
             self._send_control(channel, slot_tx, frame, r, sid, msg)
-        delivered = self._resolve_control(frame, r, channel)
-        slot_rx.update(delivered)
-
-        # sub-round 2: accepts and cancel-acks; bystanders act on cancels
-        channel = []
-        for rho in sorted(delivered):
-            msg = delivered[rho].payload
-            st = self.sts[rho]
-            if msg.kind is MsgKind.CONNECT_REQUEST:
-                if msg.dst != rho:
-                    continue  # overheard request carries no table news yet
-                ans = st.mac.answer_request(msg, frame)
-                if ans is None:
-                    continue  # no common slot; requester times out
-                ca, entries = ans
-                for e in entries:
-                    self._emit_insert(frame, r, "RP", rho, e)
-                self._send_control(channel, slot_tx, frame, r, rho, ca)
-            elif msg.kind is MsgKind.CANCEL:
-                if msg.dst == rho:
-                    ack, removed = st.mac.answer_cancel(msg)
-                    for e in removed:
-                        self._emit_delete(frame, r, "RP", rho, e, "cancel")
-                    self._send_control(channel, slot_tx, frame, r, rho, ack)
-                else:
-                    removed = st.mac.apply_cancel(msg.slots, tx=msg.src, rx=msg.dst)
-                    for e in removed:
-                        self._emit_delete(frame, r, "RP", rho, e, "cancel")
-        delivered = self._resolve_control(frame, r, channel)
-        slot_rx.update(delivered)
-
-        # sub-round 3: commit + reservation broadcast
-        channel = []
-        handshakes = []
-        for rho in sorted(delivered):
-            msg = delivered[rho].payload
-            st = self.sts[rho]
-            if msg.kind is MsgKind.CONNECT_ACCEPT:
-                if msg.dst != rho:
-                    continue
-                act = inflight.pop(rho, None)
-                if act is None or act[0] != "establish":
-                    continue
-                fid = act[1]
-                srb, entries = st.mac.commit_grant(msg, frame)
-                for e in entries:
-                    self._emit_insert(frame, r, "RP", rho, e)
-                st.flow_slots[fid] = msg.slots
-                st.backoff.pop(fid, None)
-                self.flows[fid].gap[rho] = 0
-                handshakes.append((rho, msg.src, msg.slots, msg.entry_kind, fid))
-                self._send_control(channel, slot_tx, frame, r, rho, srb)
-            elif msg.kind is MsgKind.CANCEL_ACK:
-                if msg.dst == rho:
-                    act = inflight.pop(rho, None)
-                    if act is None or act[0] != "cancel":
-                        continue
-                    fid = act[1]
-                    removed = st.mac.apply_cancel(msg.slots, tx=rho, rx=msg.src)
-                    for e in removed:
-                        self._emit_delete(frame, r, "RP", rho, e, "cancel")
-                    st.flow_slots.pop(fid, None)
-                    st.backoff.pop(fid, None)
-                    self._emit(
-                        frame, r, "RP", rho, "cancel_complete",
-                        peer=msg.src, slots=list(msg.slots), flow=fid,
-                    )
-                else:
-                    removed = st.mac.apply_cancel(msg.slots, tx=msg.dst, rx=msg.src)
-                    for e in removed:
-                        self._emit_delete(frame, r, "RP", rho, e, "cancel")
-        delivered = self._resolve_control(frame, r, channel)
-        slot_rx.update(delivered)
-
-        for rho in sorted(delivered):
-            msg = delivered[rho].payload
-            if msg.kind is not MsgKind.RESERVATION_BROADCAST:
-                continue
-            inserted, displaced = self.sts[rho].mac.apply_broadcast(msg, frame)
-            for e in displaced:
-                self._emit_delete(frame, r, "RP", rho, e, "overwrite")
-            for e in inserted:
-                self._emit_insert(frame, r, "RP", rho, e)
+        while channel:
+            delivered = self._resolve_control(frame, r, channel)
+            slot_rx.update(delivered)
+            channel = []
+            for rho in sorted(delivered):
+                reply = self._hear(frame, r, rho, delivered[rho].payload, inflight, handshakes)
+                if reply is not None:
+                    self._send_control(channel, slot_tx, frame, r, rho, reply)
 
         # a handshake is complete once the broadcast went out, heard or not
         for x, peer, slots, kind, fid in handshakes:
@@ -998,6 +935,61 @@ class Simulation:
         for sid in slot_tx | slot_rx:
             self.meter.add(sid, "tx" if sid in slot_tx else "rx")
             self._rp_busy[sid] += 1
+
+    def _hear(self, frame, r, rho, msg: ControlMessage, inflight, handshakes):
+        """Station rho receives msg in RP slot r: the table changes and
+        events that follow, and the reply rho sends, or None. Whoever
+        hears a cancel or its ack drops the reservation it names. A
+        bystander records a broadcast; an overheard request or accept
+        carries no table news yet. The addressee answers a request or a
+        cancel, and an accept or a cancel-ack completes the handshake or
+        cancellation that rho began in this slot: inflight maps each
+        initiator still waiting on a reply to its action, and handshakes
+        collects the completed handshakes."""
+        st = self.sts[rho]
+        kind = msg.kind
+        if kind is MsgKind.CANCEL:
+            self._cancel(frame, r, rho, msg.slots, tx=msg.src, rx=msg.dst)
+        elif kind is MsgKind.CANCEL_ACK:
+            self._cancel(frame, r, rho, msg.slots, tx=msg.dst, rx=msg.src)
+        if msg.dst != rho:
+            if kind is MsgKind.RESERVATION_BROADCAST:
+                inserted, displaced = st.mac.apply_broadcast(msg, frame)
+                for e in displaced:
+                    self._emit_delete(frame, r, "RP", rho, e, "overwrite")
+                for e in inserted:
+                    self._emit_insert(frame, r, "RP", rho, e)
+            return None
+        if kind is MsgKind.CONNECT_REQUEST:
+            ans = st.mac.answer_request(msg, frame)
+            if ans is None:
+                return None  # no common slot; requester times out
+            ca, entries = ans
+            for e in entries:
+                self._emit_insert(frame, r, "RP", rho, e)
+            return ca
+        if kind is MsgKind.CANCEL:
+            return st.mac.answer_cancel(msg)[0]  # its entries are dropped above
+        fid = inflight.pop(rho)[1]
+        st.backoff.pop(fid, None)
+        if kind is MsgKind.CANCEL_ACK:
+            st.flow_slots.pop(fid, None)
+            self._emit(
+                frame, r, "RP", rho, "cancel_complete",
+                peer=msg.src, slots=list(msg.slots), flow=fid,
+            )
+            return None
+        srb, entries = st.mac.commit_grant(msg, frame)
+        for e in entries:
+            self._emit_insert(frame, r, "RP", rho, e)
+        st.flow_slots[fid] = msg.slots
+        self.flows[fid].gap[rho] = 0
+        handshakes.append((rho, msg.src, msg.slots, msg.entry_kind, fid))
+        return srb
+
+    def _cancel(self, frame, r, sid, slots, tx, rx) -> None:
+        for e in self.sts[sid].mac.apply_cancel(slots, tx=tx, rx=rx):
+            self._emit_delete(frame, r, "RP", sid, e, "cancel")
 
     # -- contention-free period ----------------------------------------------
 

@@ -30,6 +30,7 @@ from wmsnsim import (
 )
 from wmsnsim import engine
 from wmsnsim.mac import ReservationKind
+from wmsnsim.scenario import FAULT_KINDS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import line_mixed  # noqa: E402
@@ -281,6 +282,80 @@ def test_cc_ack_fault_forces_idempotent_cancel_retry():
     assert len(done) == 1
     assert done[0]["frame"] >= 20  # only after the fault window closes
     assert audit.all_passed, [v.name for v in audit.verdicts() if not v.passed]
+
+
+# one fault of each kind in the first handshake or in the cancel of
+# two_hop's flow: (frame, sender, the initiator's backoff reason or None,
+# the handshake's frame and slots, the cancel's frame)
+FAULT_CASES = {
+    "CR": (0, 1, "no_accept", 1, [0], 6),
+    "CA": (0, 2, "no_accept", 1, [1], 6),
+    "SRB": (0, 1, None, 0, [0], 6),
+    "CC": (6, 1, "no_cancel_ack", 0, [0], 7),
+    "CC_ACK": (6, 2, "no_cancel_ack", 0, [0], 7),
+}
+
+
+def lost_once(kind, frame, sender):
+    return helpers.two_hop(
+        horizon=20, stop_frame=6,
+        faults=[{"kind": kind, "frame": frame, "sender": sender}],
+    )
+
+
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+def test_each_lost_control_message_costs_its_initiator_at_most_one_retry(kind):
+    frame, sender, reason, hs_frame, slots, cc_frame = FAULT_CASES[kind]
+    report, trace = run(lost_once(kind, frame, sender))
+    assert [
+        (e["frame"], e["station"], e["detail"]["kind"])
+        for e in events(trace, "control_fault_drop")
+    ] == [(frame, sender, kind)]
+    assert [
+        (e["frame"], e["station"], e["detail"]["reason"]) for e in events(trace, "backoff")
+    ] == ([(frame, 1, reason)] if reason else [])
+    assert [
+        (e["frame"], e["station"], e["detail"]["slots"])
+        for e in events(trace, "handshake_complete")
+    ] == [(hs_frame, 1, slots)]
+    assert [
+        (e["frame"], e["station"], e["detail"]["slots"])
+        for e in events(trace, "cancel_complete")
+    ] == [(cc_frame, 1, slots)]
+    assert report.flows[1].generated == report.flows[1].delivered == 5
+
+
+@pytest.mark.xfail(strict=True, reason="D11: the responder keeps the entry of a lost accept")
+def test_a_lost_accept_leaves_no_reservation_behind():
+    sim = Simulation(from_dict(lost_once("CA", 0, 2)), seed=0)
+    sim.run()
+    assert [sim.sts[sid].mac.rt.entries() for sid in (1, 2)] == [[], []]
+
+
+def test_a_bystander_drops_a_reservation_on_hearing_its_cancel():
+    # station 3 hears both endpoints, so it learns the reservation from
+    # the broadcast and drops it on the cancel, before station 1 hears
+    # the ack
+    data = helpers.two_hop(horizon=20, stop_frame=6)
+    data["stations"].append(helpers.ch(3, 100, 100))
+    sim = Simulation(from_dict(data), seed=0)
+    report, trace = sim.run()
+    assert [(e["frame"], e["slot"]) for e in events(trace, "rt_insert", station=3)] == [(0, 5)]
+    step = {"control_tx": "kind", "rt_delete": "reason"}
+    assert [
+        (e["station"], e["event"], e["detail"][step[e["event"]]])
+        for e in trace
+        if e["frame"] == 6 and e["phase"] == "RP" and e["event"] in step
+    ] == [
+        (1, "control_tx", "CC"),
+        (2, "rt_delete", "cancel"),
+        (2, "control_tx", "CC_ACK"),
+        (3, "rt_delete", "cancel"),
+        (1, "rt_delete", "cancel"),
+    ]
+    assert len(events(trace, "rt_delete", station=3)) == 1
+    assert sim.sts[3].mac.rt.entries() == []
+    assert report.flows[1].delivered == 5
 
 
 def test_datagram_requests_wait_for_a_full_burst():
