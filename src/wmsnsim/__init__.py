@@ -45,7 +45,6 @@ from .mac import (
     NoFreeSlotsError,
     ReservationEntry,
     ReservationKind,
-    ReservationTable,
     StationMac,
     choose_grant,
     mask_to_slots,

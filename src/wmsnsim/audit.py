@@ -176,10 +176,15 @@ def _flag_all(verdict: Verdict, frame: int, checked: int, findings, keys) -> Non
 def run_audits(
     trace: list[dict],
     net: Network,
+    *,
+    slotting_enabled: bool,
+    interference_multiplier: float,
     rp_slot_map: dict[int, int] | None = None,
-    slotting_enabled: bool = True,
-    interference_multiplier: float = 1.0,
 ) -> AuditReport:
+    """Every audit verdict of a run's trace. The scenario's slotting and
+    interference multiplier have no default: an audit made with other
+    values checks other footprints and slots than the run used, and can
+    pass a trace that breaks them."""
     chs = sorted(s.id for s in net.cluster_heads())
     ch_set = set(chs)
     if rp_slot_map is None:

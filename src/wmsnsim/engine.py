@@ -31,9 +31,12 @@ a channel delivers goes to _hear, in receiver order, and the replies
 _hear returns make the next channel, until no reply goes out: requests
 and cancels draw accepts and cancel-acks, and an accept draws the
 reservation broadcast. _hear states each message's rule once: whoever
-hears a cancel or its ack drops the reservation it names, a bystander
-records a broadcast, and the addressee answers a request or a cancel,
-or completes the handshake or cancellation it began.
+hears a cancel or its ack drops the reservation it names, through
+_cancel, and the addressee answers a request or a cancel, or completes
+the handshake or cancellation it began. Every hearer of a handshake
+records it through _claim, StationMac.claim's one rule with its events:
+the responder as it answers the request, the initiator as it hears the
+accept, and a bystander as it hears the broadcast.
 
 The simulation emits a structured event trace. Post-run audits
 (see audit.py) replay that trace against the topology to check the
@@ -582,7 +585,7 @@ class Simulation:
         for fid in self.flow_ids:
             fr = self.flows[fid]
             for sid in fr.reserving_hops:
-                self.sts[sid].queues[fid] = PacketQueue(fr.flow.queue_capacity)
+                self.sts[sid].queues[fid] = PacketQueue()
 
         # every queue, in the order its deadline drops are reported, and a
         # lower bound on the earliest deadline in any of them
@@ -940,12 +943,14 @@ class Simulation:
         """Station rho receives msg in RP slot r: the table changes and
         events that follow, and the reply rho sends, or None. Whoever
         hears a cancel or its ack drops the reservation it names. A
-        bystander records a broadcast; an overheard request or accept
-        carries no table news yet. The addressee answers a request or a
-        cancel, and an accept or a cancel-ack completes the handshake or
-        cancellation that rho began in this slot: inflight maps each
-        initiator still waiting on a reply to its action, and handshakes
-        collects the completed handshakes."""
+        bystander claims the slots a broadcast announces; an overheard
+        request or accept carries no table news yet. The addressee
+        answers a request, claiming the slots it grants, or a cancel;
+        an accept or a cancel-ack completes the handshake or
+        cancellation that rho began in this slot, and rho claims an
+        accept's slots: inflight maps each initiator still waiting on a
+        reply to its action, and handshakes collects the completed
+        handshakes."""
         st = self.sts[rho]
         kind = msg.kind
         if kind is MsgKind.CANCEL:
@@ -954,22 +959,15 @@ class Simulation:
             self._cancel(frame, r, rho, msg.slots, tx=msg.dst, rx=msg.src)
         if msg.dst != rho:
             if kind is MsgKind.RESERVATION_BROADCAST:
-                inserted, displaced = st.mac.apply_broadcast(msg, frame)
-                for e in displaced:
-                    self._emit_delete(frame, r, "RP", rho, e, "overwrite")
-                for e in inserted:
-                    self._emit_insert(frame, r, "RP", rho, e)
+                self._claim(frame, r, rho, msg.slots, msg.src, msg.peer, msg.entry_kind)
             return None
         if kind is MsgKind.CONNECT_REQUEST:
-            ans = st.mac.answer_request(msg, frame)
-            if ans is None:
-                return None  # no common slot; requester times out
-            ca, entries = ans
-            for e in entries:
-                self._emit_insert(frame, r, "RP", rho, e)
+            ca = st.mac.answer_request(msg)
+            if ca is not None:  # else no common slot; requester times out
+                self._claim(frame, r, rho, ca.slots, msg.src, rho, msg.entry_kind)
             return ca
         if kind is MsgKind.CANCEL:
-            return st.mac.answer_cancel(msg)[0]  # its entries are dropped above
+            return st.mac.answer_cancel(msg)  # its entries are dropped above
         fid = inflight.pop(rho)[1]
         st.backoff.pop(fid, None)
         if kind is MsgKind.CANCEL_ACK:
@@ -979,13 +977,18 @@ class Simulation:
                 peer=msg.src, slots=list(msg.slots), flow=fid,
             )
             return None
-        srb, entries = st.mac.commit_grant(msg, frame)
-        for e in entries:
-            self._emit_insert(frame, r, "RP", rho, e)
+        self._claim(frame, r, rho, msg.slots, rho, msg.src, msg.entry_kind)
         st.flow_slots[fid] = msg.slots
         self.flows[fid].gap[rho] = 0
         handshakes.append((rho, msg.src, msg.slots, msg.entry_kind, fid))
-        return srb
+        return st.mac.broadcast_grant(msg)
+
+    def _claim(self, frame, r, sid, slots, tx, rx, kind) -> None:
+        inserted, displaced = self.sts[sid].mac.claim(slots, tx, rx, kind, frame)
+        for e in displaced:
+            self._emit_delete(frame, r, "RP", sid, e, "overwrite")
+        for e in inserted:
+            self._emit_insert(frame, r, "RP", sid, e)
 
     def _cancel(self, frame, r, sid, slots, tx, rx) -> None:
         for e in self.sts[sid].mac.apply_cancel(slots, tx=tx, rx=rx):
@@ -1008,7 +1011,7 @@ class Simulation:
             for sid in self.ch_ids:
                 st = self.sts[sid]
                 flow_of = {s: fid for fid, own in st.flow_slots.items() for s in own}
-                for e in st.mac.rt.entries():
+                for e in st.mac.entries():
                     if e.tx == sid:
                         senders[e.cf_slot].append((sid, e.rx, flow_of[e.cf_slot]))
                     elif e.rx == sid:

@@ -7,6 +7,11 @@ cell; one RP slot is wide enough for a full three-message establishment
 (request, accept, reservation broadcast) or a two-message cancellation.
 Data slots carry exactly one packet plus its acknowledgment.
 
+Each station's StationMac holds its own table of the CFP schedule. The
+message builders change no table: every hearer of a handshake, the
+responder, the initiator and any bystander, enters the reservation
+through StationMac.claim, and a cancel drops it through apply_cancel.
+
 Real-time reservations persist across frames until explicitly cancelled;
 datagram (burst) reservations are valid for the current frame only and
 are wiped at the frame boundary. Failed procedures back off a whole
@@ -108,41 +113,6 @@ class ReservationEntry:
             raise ValueError(f"bad cf_slot {self.cf_slot}")
 
 
-class ReservationTable:
-    """One station's view of the CFP schedule: at most one entry per slot."""
-
-    def __init__(self, owner: int, cf_slots: int):
-        self.owner = owner
-        self.cf_slots = cf_slots
-        self._entries: dict[int, ReservationEntry] = {}
-
-    def get(self, slot: int) -> ReservationEntry | None:
-        return self._entries.get(slot)
-
-    def entries(self) -> list[ReservationEntry]:
-        return [self._entries[s] for s in sorted(self._entries)]
-
-    def insert(self, entry: ReservationEntry) -> ReservationEntry | None:
-        """Install an entry; newest information wins. Returns the entry it
-        displaced, if any (a displacement is a table inconsistency symptom
-        the audits look for)."""
-        if entry.cf_slot >= self.cf_slots:
-            raise ValueError(f"cf_slot {entry.cf_slot} outside 0..{self.cf_slots - 1}")
-        old = self._entries.get(entry.cf_slot)
-        self._entries[entry.cf_slot] = entry
-        return old
-
-    def delete(self, slot: int) -> ReservationEntry | None:
-        return self._entries.pop(slot, None)
-
-    def free_mask(self) -> int:
-        mask = 0
-        for s in range(self.cf_slots):
-            if s not in self._entries:
-                mask |= 1 << s
-        return mask
-
-
 def mask_to_slots(mask: int) -> tuple[int, ...]:
     out = []
     s = 0
@@ -231,15 +201,62 @@ class MacConfig:
 
 
 class StationMac:
-    """Per-station reservation protocol state.
+    """Per-station reservation protocol state: the station's own view of
+    the CFP schedule, at most one entry per slot.
 
-    Message construction and table updates live here; the engine owns
+    The message builders change no table. Every hearer of a handshake,
+    the responder, the initiator and any bystander, records it through
+    claim; a cancel and the frame boundary drop entries. The engine owns
     timing, the shared medium, and queue contents.
     """
 
     def __init__(self, owner: int, cf_slots: int):
         self.owner = owner
-        self.rt = ReservationTable(owner, cf_slots)
+        self.cf_slots = cf_slots
+        self.table: dict[int, ReservationEntry] = {}
+
+    def entries(self) -> list[ReservationEntry]:
+        return [self.table[s] for s in sorted(self.table)]
+
+    def free_mask(self) -> int:
+        mask = (1 << self.cf_slots) - 1
+        for s in self.table:
+            mask &= ~(1 << s)
+        return mask
+
+    def claim(
+        self, slots: tuple[int, ...], tx: int, rx: int, kind: ReservationKind, frame: int
+    ) -> tuple[list[ReservationEntry], list[ReservationEntry]]:
+        """Record reservation (tx, rx, kind) in `slots`; newest news wins.
+
+        Returns (inserted, displaced): entries that changed the table and
+        any conflicting older entries they overwrote (a displacement is a
+        table inconsistency symptom the audits look for). A slot that
+        already holds this reservation is left as it is. A slot this
+        station itself transmits or receives in is never displaced by
+        hearsay: the foreign claim comes from a link far enough away to
+        have missed our own broadcast, so both links can coexist and
+        first-hand state stays authoritative until cancel or expiry. An
+        endpoint claims slots free in its own table, so neither rule
+        applies to it.
+        """
+        table = self.table
+        inserted = []
+        displaced = []
+        for s in slots:
+            cur = table.get(s)
+            if cur is not None:
+                if (cur.tx, cur.rx, cur.kind) == (tx, rx, kind):
+                    continue  # already known
+                if self.owner in (cur.tx, cur.rx):
+                    continue  # first-hand, kept over hearsay
+                displaced.append(cur)
+            elif s >= self.cf_slots:
+                raise ValueError(f"cf_slot {s} outside 0..{self.cf_slots - 1}")
+            e = ReservationEntry(cf_slot=s, tx=tx, rx=rx, kind=kind, established_frame=frame)
+            table[s] = e
+            inserted.append(e)
+        return inserted, displaced
 
     # -- establishment -------------------------------------------------
 
@@ -249,7 +266,7 @@ class StationMac:
         kind: ReservationKind,
         buffered_count: int = 0,
     ) -> ControlMessage:
-        mask = self.rt.free_mask()
+        mask = self.free_mask()
         if mask == 0:
             raise NoFreeSlotsError(f"station {self.owner} has no free CF slot")
         return ControlMessage(
@@ -261,48 +278,25 @@ class StationMac:
             entry_kind=kind,
         )
 
-    def answer_request(
-        self, cr: ControlMessage, frame: int
-    ) -> tuple[ControlMessage, list[ReservationEntry]] | None:
-        """Receiver side: pick the grant from the common free slots and
-        mark them. None means no common slot; the requester just times
-        out, indistinguishable from a lost reply."""
-        grant = choose_grant(
-            cr.free_mask & self.rt.free_mask(), cr.entry_kind, cr.buffered_count
-        )
+    def answer_request(self, cr: ControlMessage) -> ControlMessage | None:
+        """Receiver side: the accept granting the lowest common free slots,
+        which the receiver then claims. None means no common slot; the
+        requester just times out, indistinguishable from a lost reply."""
+        grant = choose_grant(cr.free_mask & self.free_mask(), cr.entry_kind, cr.buffered_count)
         if not grant:
             return None
-        entries = []
-        for s in grant:
-            e = ReservationEntry(
-                cf_slot=s, tx=cr.src, rx=self.owner, kind=cr.entry_kind,
-                established_frame=frame,
-            )
-            self.rt.insert(e)  # slots come from free_mask, nothing displaced
-            entries.append(e)
-        ca = ControlMessage(
+        return ControlMessage(
             kind=MsgKind.CONNECT_ACCEPT,
             src=self.owner,
             dst=cr.src,
             slots=grant,
             entry_kind=cr.entry_kind,
         )
-        return ca, entries
 
-    def commit_grant(
-        self, ca: ControlMessage, frame: int
-    ) -> tuple[ControlMessage, list[ReservationEntry]]:
-        """Initiator side, on accept: install the granted slots and build
-        the reservation broadcast that tells the neighborhood."""
-        entries = []
-        for s in ca.slots:
-            e = ReservationEntry(
-                cf_slot=s, tx=self.owner, rx=ca.src, kind=ca.entry_kind,
-                established_frame=frame,
-            )
-            self.rt.insert(e)  # granted out of our own advertised free set
-            entries.append(e)
-        srb = ControlMessage(
+    def broadcast_grant(self, ca: ControlMessage) -> ControlMessage:
+        """Initiator side, on accept: the reservation broadcast that tells
+        the neighborhood; the initiator claims the granted slots."""
+        return ControlMessage(
             kind=MsgKind.RESERVATION_BROADCAST,
             src=self.owner,
             dst=None,
@@ -310,44 +304,12 @@ class StationMac:
             slots=ca.slots,
             entry_kind=ca.entry_kind,
         )
-        return srb, entries
-
-    def apply_broadcast(
-        self, srb: ControlMessage, frame: int
-    ) -> tuple[list[ReservationEntry], list[ReservationEntry]]:
-        """Bystander side: record announced slots, newest news wins.
-
-        Returns (inserted, displaced): entries that changed the table and
-        any conflicting older entries they overwrote. The two handshake
-        endpoints already hold their entries and see no change. A slot
-        this station itself transmits or receives in is never displaced
-        by hearsay: the foreign claim comes from a link far enough away
-        to have missed our own broadcast, so both links can coexist and
-        first-hand state stays authoritative until cancel or expiry.
-        """
-        inserted = []
-        displaced = []
-        for s in srb.slots:
-            cur = self.rt.get(s)
-            if cur and (cur.tx, cur.rx, cur.kind) == (srb.src, srb.peer, srb.entry_kind):
-                continue
-            if cur and self.owner in (cur.tx, cur.rx):
-                continue
-            e = ReservationEntry(
-                cf_slot=s, tx=srb.src, rx=srb.peer, kind=srb.entry_kind,
-                established_frame=frame,
-            )
-            old = self.rt.insert(e)
-            if old is not None:
-                displaced.append(old)
-            inserted.append(e)
-        return inserted, displaced
 
     # -- cancellation ----------------------------------------------------
 
     def build_cancel(self, peer: int, slots: tuple[int, ...]) -> ControlMessage:
         for s in slots:
-            e = self.rt.get(s)
+            e = self.table.get(s)
             if e is None or e.tx != self.owner or e.rx != peer:
                 raise ValueError(f"station {self.owner} holds no reservation at {s}")
             if e.kind is ReservationKind.DATAGRAM:
@@ -356,17 +318,14 @@ class StationMac:
             kind=MsgKind.CANCEL, src=self.owner, dst=peer, peer=peer, slots=slots
         )
 
-    def answer_cancel(
-        self, cc: ControlMessage
-    ) -> tuple[ControlMessage, list[ReservationEntry]]:
-        """Peer side: drop the entries and acknowledge. Idempotent, so a
-        retried cancel after a lost ack is harmless."""
-        removed = self.apply_cancel(cc.slots, tx=cc.src, rx=self.owner)
-        ack = ControlMessage(
+    def answer_cancel(self, cc: ControlMessage) -> ControlMessage:
+        """Peer side: the acknowledgment; the peer drops the entries with
+        apply_cancel, as every hearer of the cancel does. Dropping is
+        idempotent, so a retried cancel after a lost ack is harmless."""
+        return ControlMessage(
             kind=MsgKind.CANCEL_ACK, src=self.owner, dst=cc.src,
             peer=cc.src, slots=cc.slots,
         )
-        return ack, removed
 
     def apply_cancel(
         self, slots: tuple[int, ...], tx: int, rx: int
@@ -375,9 +334,9 @@ class StationMac:
         endpoints and by bystanders overhearing either cancel message."""
         removed = []
         for s in slots:
-            e = self.rt.get(s)
+            e = self.table.get(s)
             if e and e.tx == tx and e.rx == rx:
-                self.rt.delete(s)
+                del self.table[s]
                 removed.append(e)
         return removed
 
@@ -386,9 +345,7 @@ class StationMac:
     def end_of_frame_cleanup(self, frame: int) -> list[ReservationEntry]:
         """Datagram reservations are valid only for the frame that granted
         them; wipe them. Real-time entries stay."""
-        removed = []
-        for e in self.rt.entries():
-            if e.kind is ReservationKind.DATAGRAM:
-                self.rt.delete(e.cf_slot)
-                removed.append(e)
+        removed = [e for e in self.entries() if e.kind is ReservationKind.DATAGRAM]
+        for e in removed:
+            del self.table[e.cf_slot]
         return removed

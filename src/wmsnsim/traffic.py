@@ -113,7 +113,6 @@ class Flow:
     burst_length: int = DEFAULT_BURST_LENGTH
     start_frame: int = 0
     stop_frame: int | None = None  # None: runs to the horizon
-    queue_capacity: int = DEFAULT_QUEUE_CAPACITY
 
     def __post_init__(self):
         breaches = class_rule_breaches(self.service, self.mode, self.rate_bps)
@@ -127,8 +126,6 @@ class Flow:
             raise ValueError("start_frame must be >= 0")
         if self.stop_frame is not None and self.stop_frame <= self.start_frame:
             raise ValueError("stop_frame must exceed start_frame")
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
 
     @property
     def real_time(self) -> bool:

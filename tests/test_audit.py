@@ -149,6 +149,22 @@ def test_clean_trace_passes(two_hop_run):
     assert rep.realtime_persistence.checked > 0
 
 
+@pytest.mark.parametrize("left_out", ["slotting_enabled", "interference_multiplier"])
+def test_run_audits_requires_the_scenarios_settings(two_hop_run, left_out):
+    # a default multiplier would audit a widened-footprint run against the
+    # narrow one and miss its consistency violations
+    sc, sim, trace = two_hop_run
+    settings = {
+        "slotting_enabled": sc.mac.slotting_enabled,
+        "interference_multiplier": sc.channel.interference_multiplier,
+    }
+    del settings[left_out]
+    with pytest.raises(TypeError, match=left_out):
+        run_audits(trace, sim.net, **settings)
+    with pytest.raises(TypeError):
+        run_audits(trace, sim.net, None, True, 1.0)  # no longer positional
+
+
 def test_missing_bystander_insert_breaks_agreement(two_hop_run):
     sc, sim, trace = two_hop_run
     doctored = copy.deepcopy(trace)

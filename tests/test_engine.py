@@ -329,7 +329,7 @@ def test_each_lost_control_message_costs_its_initiator_at_most_one_retry(kind):
 def test_a_lost_accept_leaves_no_reservation_behind():
     sim = Simulation(from_dict(lost_once("CA", 0, 2)), seed=0)
     sim.run()
-    assert [sim.sts[sid].mac.rt.entries() for sid in (1, 2)] == [[], []]
+    assert [sim.sts[sid].mac.entries() for sid in (1, 2)] == [[], []]
 
 
 def test_a_bystander_drops_a_reservation_on_hearing_its_cancel():
@@ -354,7 +354,7 @@ def test_a_bystander_drops_a_reservation_on_hearing_its_cancel():
         (1, "rt_delete", "cancel"),
     ]
     assert len(events(trace, "rt_delete", station=3)) == 1
-    assert sim.sts[3].mac.rt.entries() == []
+    assert sim.sts[3].mac.entries() == []
     assert report.flows[1].delivered == 5
 
 
@@ -513,7 +513,7 @@ class ScheduleChecked(Simulation):
         self.events_read = len(self.trace)
         senders, listeners = [], set()
         for sid in self.ch_ids:
-            e = self.sts[sid].mac.rt.get(s)
+            e = self.sts[sid].mac.table.get(s)
             if e is not None and e.tx == sid:
                 senders.append((sid, e.rx, granted[sid, s]))
             elif e is not None and e.rx == sid:
@@ -559,7 +559,7 @@ class FlowSlotsChecked(Simulation):
                 fr = self.flows[fid]
                 assert fr.flow.real_time, (frame, sid, fid)
                 for s in own:
-                    e = st.mac.rt.get(s)
+                    e = st.mac.table.get(s)
                     assert e is not None, (frame, sid, fid, s)
                     assert (e.tx, e.rx) == (sid, fr.next_hop[sid]), (frame, sid, fid, s)
                     self.slots_checked += 1
@@ -638,14 +638,14 @@ class OutcomeChecked(Simulation):
         for e in self.trace[first:]:
             if e["event"] == "data_tx":
                 sid = e["station"]
-                to = self.sts[sid].mac.rt.get(s).rx
+                to = self.sts[sid].mac.table[s].rx
                 assert e["detail"]["to"] == to
                 channel.append(Transmission(
                     sender=sid, payload=len(channel),
                     comm=self.fso_comm[sid], interf=self.fso_intf[sid], to=to,
                 ))
         for sid in self.ch_ids:
-            e = self.sts[sid].mac.rt.get(s)
+            e = self.sts[sid].mac.table.get(s)
             if e is not None and e.rx == sid:
                 listeners.add(sid)
         delivered, collisions = resolve_slot(channel, listeners)
