@@ -6,7 +6,9 @@ shares no state with the engine: reservation tables are rebuilt purely
 from rt_insert / rt_delete events, so any divergence between what the
 engine did and what the protocol promises shows up as a violation.
 
-Headline properties (these gate the process exit code):
+The properties, in report order; VERDICTS flags the headline ones,
+which gate the process exit code, and the rest are supporting checks,
+reported but not gating:
 
   interferer_hop_bound    stations that garble each other's control
                           traffic are RF neighbors of neighbors, never
@@ -16,9 +18,6 @@ Headline properties (these gate the process exit code):
   table_agreement         after every completed handshake or cancel,
                           both endpoints and every station in their
                           common range agree on the affected slots
-
-Supporting checks (reported, not gating):
-
   rp_slot_discipline      requests, cancels and reservation broadcasts
                           leave a station only in its own schedule slot
   rt_consistency          per frame, no station listens on a slot where
@@ -62,51 +61,41 @@ class Verdict:
             self.violations.append(detail)
 
 
-@dataclass
+# (name, headline) of each verdict, in report order
+VERDICTS = (
+    ("interferer_hop_bound", True),
+    ("control_collision_free", True),
+    ("table_agreement", True),
+    ("rp_slot_discipline", False),
+    ("rt_consistency", False),
+    ("datagram_expiry", False),
+    ("realtime_persistence", False),
+)
+
+
 class AuditReport:
-    interferer_hop_bound: Verdict
-    control_collision_free: Verdict
-    table_agreement: Verdict
-    rp_slot_discipline: Verdict
-    rt_consistency: Verdict
-    datagram_expiry: Verdict
-    realtime_persistence: Verdict
-    control_collisions: int = 0
-    data_collisions: int = 0
+    """One Verdict per entry of VERDICTS, read as report.<name>."""
+
+    def __init__(self) -> None:
+        for name, _ in VERDICTS:
+            setattr(self, name, Verdict(name))
 
     @property
     def headline_passed(self) -> bool:
-        return (
-            self.interferer_hop_bound.passed
-            and self.control_collision_free.passed
-            and self.table_agreement.passed
-        )
+        return all(getattr(self, name).passed for name, headline in VERDICTS if headline)
 
     @property
     def all_passed(self) -> bool:
-        return self.headline_passed and (
-            self.rp_slot_discipline.passed
-            and self.rt_consistency.passed
-            and self.datagram_expiry.passed
-            and self.realtime_persistence.passed
-        )
+        return all(v.passed for v in self.verdicts())
 
     def verdicts(self) -> list[Verdict]:
-        return [
-            self.interferer_hop_bound,
-            self.control_collision_free,
-            self.table_agreement,
-            self.rp_slot_discipline,
-            self.rt_consistency,
-            self.datagram_expiry,
-            self.realtime_persistence,
-        ]
+        return [getattr(self, name) for name, _ in VERDICTS]
 
 
 # every event the replay reads; the others only mark the frame
 _READS = frozenset({
     "rt_insert", "rt_delete", "handshake_complete", "cancel_complete",
-    "control_tx", "control_collision", "data_collision", "frame_end",
+    "control_tx", "control_collision", "frame_end",
 })
 
 
@@ -215,15 +204,12 @@ def run_audits(
             )
         return footprints[sid]
 
-    hop_bound = Verdict("interferer_hop_bound")
-    collision_free = Verdict("control_collision_free")
-    agreement = Verdict("table_agreement")
-    discipline = Verdict("rp_slot_discipline")
-    consistency = Verdict("rt_consistency")
-    dg_expiry = Verdict("datagram_expiry")
-    rt_persist = Verdict("realtime_persistence")
-    control_collisions = 0
-    data_collisions = 0
+    report = AuditReport()
+    hop_bound = report.interferer_hop_bound
+    collision_free = report.control_collision_free
+    agreement = report.table_agreement
+    discipline = report.rp_slot_discipline
+    rt_persist = report.realtime_persistence
 
     hop_cache: dict[tuple[int, int], int | None] = {}
 
@@ -267,12 +253,14 @@ def run_audits(
         return check
 
     check_frame_consistency = per_frame(
-        consistency,
+        report.rt_consistency,
         lambda: _rt_consistency(tables, chs, footprint),
         ("slot", "listener", "expected", "interferer"),
     )
     check_datagram_expiry = per_frame(
-        dg_expiry, lambda: _datagram_expiry(tables, chs), ("station", "slot", "entry")
+        report.datagram_expiry,
+        lambda: _datagram_expiry(tables, chs),
+        ("station", "slot", "entry"),
     )
     check_realtime_persistence = per_frame(
         rt_persist,
@@ -320,42 +308,35 @@ def run_audits(
             tables[st].pop(d["slot_index"], None)
             version += 1
 
-        elif kind == "handshake_complete":
+        elif kind == "handshake_complete" or kind == "cancel_complete":
             x, y = st, d["peer"]
-            if d["kind"] == "real_time":
-                for slot in d["slots"]:
-                    obligations[(slot, x, y)] = {x, y}
-                version += 1
-            want = (x, y, d["kind"])
-            for member in agreement_set(x, y):
-                for slot in d["slots"]:
-                    agreement.checked += 1
+            slots = d["slots"]
+            want = None  # a cancel leaves no entry for x -> y
+            if kind == "handshake_complete":
+                want = (x, y, d["kind"])
+                if d["kind"] == "real_time":
+                    for slot in slots:
+                        obligations[(slot, x, y)] = {x, y}
+                    version += 1
+            members = agreement_set(x, y)
+            agreement.checked += len(members) * len(slots)
+            for member in members:
+                for slot in slots:
                     got = tables[member].get(slot)
-                    if got == want:
-                        continue
+                    if want is None:
+                        if got is None or got[0] != x or got[1] != y:
+                            continue
                     # a listener already transmitting or receiving in the
                     # slot keeps its first-hand entry; the slot still reads
                     # busy in its table, which is all the broadcast must
                     # achieve for a station the new link could not hear
-                    if got is not None and member in (got[0], got[1]):
+                    elif got == want or (got is not None and member in got[:2]):
                         continue
                     agreement.flag(
                         frame=frame, station=member, slot=slot,
-                        expected=list(want),
+                        expected=None if want is None else list(want),
                         found=None if got is None else list(got),
                     )
-
-        elif kind == "cancel_complete":
-            x, y = st, d["peer"]
-            for member in agreement_set(x, y):
-                for slot in d["slots"]:
-                    agreement.checked += 1
-                    got = tables[member].get(slot)
-                    if got is not None and got[0] == x and got[1] == y:
-                        agreement.flag(
-                            frame=frame, station=member, slot=slot,
-                            expected=None, found=list(got),
-                        )
 
         elif kind == "control_tx":
             if d["kind"] in ("CR", "CC", "SRB"):
@@ -368,7 +349,6 @@ def run_audits(
                     )
 
         elif kind == "control_collision":
-            control_collisions += 1
             collision_free.checked += 1
             collision_free.flag(frame=frame, station=st, senders=d["senders"])
             for a, b in combinations(sorted(d["senders"]), 2):
@@ -379,9 +359,6 @@ def run_audits(
                         frame=frame, receiver=st, pair=[a, b], hop_distance=h
                     )
 
-        elif kind == "data_collision":
-            data_collisions += 1
-
         elif kind == "frame_end":
             # tables still hold the frame's full schedule here; the
             # engine's cleanup deletes come after this marker
@@ -391,14 +368,4 @@ def run_audits(
     if cur_frame is not None:
         check_datagram_expiry(cur_frame)
 
-    return AuditReport(
-        interferer_hop_bound=hop_bound,
-        control_collision_free=collision_free,
-        table_agreement=agreement,
-        rp_slot_discipline=discipline,
-        rt_consistency=consistency,
-        datagram_expiry=dg_expiry,
-        realtime_persistence=rt_persist,
-        control_collisions=control_collisions,
-        data_collisions=data_collisions,
-    )
+    return report

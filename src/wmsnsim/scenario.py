@@ -391,6 +391,9 @@ def _read_flow(r: _Reader, item, path: str, stations: dict[int, Station]) -> Flo
             if stations[src].kind is StationKind.BASE_STATION:
                 r.flag("E_FLOW_ENDPOINTS", f"{path}.src", "base station cannot source a flow")
                 ok = False
+            elif not any(s.kind is StationKind.CLUSTER_HEAD for s in stations.values()):
+                r.flag("E_FLOW_ENDPOINTS", f"{path}.src", "no cluster head for a sensor to attach to")
+                ok = False
             if stations[dst].kind is StationKind.SENSOR_NODE:
                 r.flag("E_FLOW_ENDPOINTS", f"{path}.dst", "sensors cannot terminate a flow")
                 ok = False

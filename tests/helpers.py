@@ -61,6 +61,11 @@ def two_hop(horizon=200, stop_frame=None, faults=(), mode="bonded", rate=64000):
     return base(stations, [f], horizon=horizon, faults=faults)
 
 
+def sensor_without_cluster_head():
+    """A sensor flow 1 -> base station 9 with no cluster head to carry it."""
+    return base([sensor(1, 50, 50), bs(9, 150, 50)], [flow(1, 1, 9)], horizon=5)
+
+
 def mixed_traffic(horizon=120):
     """Real-time, plain real-time, and datagram flows sharing one hop."""
     stations = [ch(1, 50, 50), ch(2, 150, 50), bs(9, 250, 50)]

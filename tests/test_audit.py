@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 from wmsnsim import Simulation, audit as audit_mod, from_dict, run_audits
-from wmsnsim.audit import Verdict
+from wmsnsim.audit import AuditReport, Verdict
 from wmsnsim.geometry import Sector, sector_contains
 
 
@@ -180,6 +180,32 @@ def test_missing_bystander_insert_breaks_agreement(two_hop_run):
     assert not rep.table_agreement.passed
     v = rep.table_agreement.violations[0]
     assert v["found"] is None or v["found"] != v["expected"]
+
+
+def test_entry_left_after_a_cancel_breaks_agreement(two_hop_run):
+    # drop the receiver's own cancel delete: the completed cancel leaves
+    # the reservation standing in one table of the link
+    sc, sim, trace = two_hop_run
+    doctored = copy.deepcopy(trace)
+    done = next(e for e in doctored if e["event"] == "cancel_complete")
+    tx, rx = done["station"], done["detail"]["peer"]
+    idx = next(
+        i
+        for i, e in enumerate(doctored)
+        if e["event"] == "rt_delete"
+        and e["detail"]["reason"] == "cancel"
+        and e["station"] == rx
+    )
+    slot, kind = doctored[idx]["detail"]["slot_index"], doctored[idx]["detail"]["kind"]
+    del doctored[idx]
+    rep = audit(sim, sc, doctored)
+    assert not rep.table_agreement.passed
+    assert rep.table_agreement.violations == [
+        {
+            "frame": done["frame"], "station": rx, "slot": slot,
+            "expected": None, "found": [tx, rx, kind],
+        }
+    ]
 
 
 def test_fake_expiry_of_real_time_entry_breaks_persistence(two_hop_run):
@@ -359,6 +385,26 @@ def test_collision_between_far_stations_breaks_hop_bound():
     assert not rep.interferer_hop_bound.passed
     assert rep.interferer_hop_bound.violations[0]["hop_distance"] is None
     assert not rep.headline_passed
+
+
+@pytest.mark.parametrize("name", [name for name, _ in audit_mod.VERDICTS])
+def test_each_declared_verdict_gates_as_declared(name):
+    rep = AuditReport()
+    getattr(rep, name).flag(frame=0)
+    assert not rep.all_passed
+    assert rep.headline_passed == (
+        name not in ("interferer_hop_bound", "control_collision_free", "table_agreement")
+    )
+    assert [v.name for v in rep.verdicts()] == [
+        "interferer_hop_bound",
+        "control_collision_free",
+        "table_agreement",
+        "rp_slot_discipline",
+        "rt_consistency",
+        "datagram_expiry",
+        "realtime_persistence",
+    ]
+    assert [v.passed for v in rep.verdicts()] == [v.name != name for v in rep.verdicts()]
 
 
 def test_verdict_violation_cap():

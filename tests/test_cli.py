@@ -215,6 +215,15 @@ def test_validate_ok_and_failure(tmp_path, capsys):
     assert "E_RP_MODULUS" in outp and "E_UNKNOWN_CLASS" in outp
     assert "2 problem(s) found" in outp
 
+    # once printed ok, then run died in attach_point with a traceback
+    orphan = write_scenario(tmp_path, helpers.sensor_without_cluster_head(), "orphan.json")
+    assert main(["validate", "--scenario", orphan]) == 1
+    assert "E_FLOW_ENDPOINTS at flows[0].src" in capsys.readouterr().out
+    assert main(["run", "--scenario", orphan, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert "error: E_FLOW_ENDPOINTS at flows[0].src" in err
+    assert "Traceback" not in out + err
+
 
 def test_validate_reports_non_finite_numbers_and_bad_modes(tmp_path, capsys):
     # each passed validate and then made Simulation raise, or raised inside

@@ -166,6 +166,12 @@ def test_flow_class_mode_and_endpoint_rules():
     d["flows"][0].update({"src": 9, "dst": 1})
     expect(d, "E_FLOW_ENDPOINTS")
 
+    # a sensor's traffic enters the mesh at a cluster head; with none to
+    # attach to, the engine raised on a scenario that validated
+    d = helpers.sensor_without_cluster_head()
+    issues = expect(d, "E_FLOW_ENDPOINTS")
+    assert [(i.code, i.path) for i in issues] == [("E_FLOW_ENDPOINTS", "flows[0].src")]
+
     d = helpers.two_hop()
     d["flows"][0]["rate_bps"] = 1.0
     expect(d, "E_RATE_OUT_OF_CLASS")
