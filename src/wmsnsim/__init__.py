@@ -51,7 +51,6 @@ from .mac import (
     my_rp_slot,
 )
 from .routing import (
-    EmptyPathSetError,
     InvalidEndpointError,
     Path,
     PathScore,
@@ -63,8 +62,8 @@ from .routing import (
     forward_probe,
     make_probe,
     next_hop_candidates,
+    rank_paths,
     score_path,
-    select_best_path,
 )
 from .scenario import (
     FaultSpec,

@@ -26,7 +26,7 @@ import sys
 
 from .audit import AuditReport, run_audits
 from .engine import SimReport, Simulation, _canonical
-from .routing import ProgressMode, collect_paths, score_path, selection_key
+from .routing import ProgressMode, rank_paths
 from .scenario import Scenario, ScenarioError, from_dict
 from .topology import attach_point
 
@@ -190,12 +190,11 @@ def _cmd_route(args) -> int:
         if origin == flow.dst:
             print(f"flow {flow.id}: source attaches at its destination")
             continue
-        paths = collect_paths(net, origin, flow.dst, sc.routing)
-        if not paths:
+        scored = rank_paths(net, origin, flow.dst, sc.routing)
+        if not scored:
             print(f"flow {flow.id}: no route from {origin} to {flow.dst}")
             status = max(status, 1)
             continue
-        scored = sorted((score_path(net, p) for p in paths), key=selection_key)
         print(f"flow {flow.id}: {origin} -> {flow.dst} ({len(scored)} paths)")
         for i, ps in enumerate(scored):
             mark = "*" if i == 0 else " "

@@ -11,9 +11,9 @@ entries happens in sorted order.
 A run's work follows the protocol, not slots x stations. An RP slot
 asks only the cluster heads that own it whether to contend, and ends
 there when none does. A CF slot plays its plan: the senders with their
-addressees and flows, and the listeners, built from the reservation
-tables and each station's flow_slots only after a table changed. The
-run keeps every CF channel outcome by what decides it, the senders that
+addressees and hops, and the listeners, built from the reservation
+tables and the slots each hop holds only after a table changed. The run
+keeps every CF channel outcome by what decides it, the senders that
 sent with their addressees and the slot's listeners, so a channel is
 resolved once per such set in a run, however often the tables change.
 A CF slot's start is the frame's first CF slot start, taken once per
@@ -226,6 +226,24 @@ class EnergyMeter:
         return awake / total if total else 0.0
 
 
+class _Hop:
+    """One reserving hop of a flow, kept by the station that sends the
+    flow to cluster head `peer` over reserved CF slots: the hop's queue,
+    slots, pending backoff and session gap, and the kind it requests."""
+
+    def __init__(self, flow: Flow, peer: int):
+        self.flow = flow
+        self.peer = peer
+        self.kind = ReservationKind.REAL_TIME if flow.real_time else ReservationKind.DATAGRAM
+        self.queue = PacketQueue()
+        # our tx slots, or None: the only record of which flow a slot carries
+        self.slots: tuple[int, ...] | None = None
+        # the backoff of the pending establish (no slots held) or cancel
+        self.backoff: BackoffState | None = None
+        # session continuity: frames starved, None until first granted slots
+        self.gap: int | None = None
+
+
 class _FlowRuntime:
     """Everything the engine tracks for one flow."""
 
@@ -236,11 +254,10 @@ class _FlowRuntime:
         self.attach = flow.src  # cluster head where packets enter the mesh
         self.path: tuple[int, ...] | None = None  # None: no route found
         self.mean_deviation = 0.0
-        self.next_hop: dict[int, int] = {}
-        self.reserving_hops: list[int] = []  # hops that need MAC slots
-        # session continuity, per reserving hop that has ever held slots
-        self.gap: dict[int, int] = {}
-        self.max_gap = 0  # worst streak at any of them
+        self.hops: list[_Hop] = []  # the reserving hops, in path order
+        # station -> the queue a packet joins there: its hop's, or the uplink
+        self.queue_at: dict[int, PacketQueue] = {}
+        self.max_gap = 0  # worst streak at any hop
 
 
 class _StationState:
@@ -249,15 +266,9 @@ class _StationState:
     def __init__(self, sid: int, cf_slots: int, rng: random.Random):
         self.rng = rng
         self.mac = StationMac(sid, cf_slots)
-        # flow id -> forward queue, in ascending flow id: the flows we
-        # forward over reserved slots
-        self.queues: dict[int, PacketQueue] = {}
-        self.uplink = PacketQueue(capacity=10**9)  # polled optical uplink
-        # flow -> our tx slots: the only record of which flow a slot carries
-        self.flow_slots: dict[int, tuple[int, ...]] = {}
-        # flow -> the backoff of its pending establish or cancel; a flow
-        # holding no slots can only establish, one holding slots only cancel
-        self.backoff: dict[int, BackoffState] = {}
+        self.hops: dict[int, _Hop] = {}  # flow id -> the hop we send, ascending
+        # the polled optical uplink, where some flow leaves the mesh here
+        self.uplink: PacketQueue | None = None
 
 
 # -- results ----------------------------------------------------------------
@@ -582,27 +593,16 @@ class Simulation:
             self.flows[flow.id] = fr
         self.flow_ids = sorted(self.flows)
 
-        for fid in self.flow_ids:
-            fr = self.flows[fid]
-            for sid in fr.reserving_hops:
-                self.sts[sid].queues[fid] = PacketQueue()
-
         # every queue, in the order its deadline drops are reported, and a
         # lower bound on the earliest deadline in any of them
         self.queue_order: list[tuple[int, PacketQueue]] = []
         for sid in self.ch_ids:
             st = self.sts[sid]
-            self.queue_order += [(sid, q) for q in st.queues.values()]
-            self.queue_order.append((sid, st.uplink))
+            self.queue_order += [(sid, hop.queue) for hop in st.hops.values()]
+            if st.uplink is not None:
+                self.queue_order.append((sid, st.uplink))
         self._next_due = math.inf
-        # the cluster heads that hand some flow's last hop to the uplink
-        to_sink = {
-            a
-            for fr in self.flows.values()
-            for a, b in fr.next_hop.items()
-            if self.net.station(b).kind is StationKind.BASE_STATION
-        }
-        self.uplink_ids = [sid for sid in self.ch_ids if sid in to_sink]
+        self.uplink_ids = [sid for sid in self.ch_ids if self.sts[sid].uplink is not None]
 
         # built by _schedule(), dropped by every table change
         self._cf_plan: list[tuple[list, frozenset]] | None = None
@@ -630,18 +630,24 @@ class Simulation:
         origin = fr.attach = attach_point(self.net, flow.src)
         if origin == flow.dst:
             fr.path = (origin,)
-            fr.next_hop = {}
             return
         best = discover(self.net, origin, flow.dst, config=self.routing_cfg)
         if best is None:
             return
-        hops = best.path.hops
-        fr.path = hops
+        fr.path = best.path.hops
         fr.mean_deviation = best.mean_deviation
-        for a, b in zip(hops, hops[1:]):
-            fr.next_hop[a] = b
+        # a hop to a cluster head reserves slots; only the last can leave
+        # the mesh, over its station's uplink
+        for a, b in zip(fr.path, fr.path[1:]):
+            st = self.sts[a]
             if self.net.station(b).kind is StationKind.CLUSTER_HEAD:
-                fr.reserving_hops.append(a)
+                hop = st.hops[flow.id] = _Hop(flow, b)
+                fr.hops.append(hop)
+                fr.queue_at[a] = hop.queue
+            else:
+                if st.uplink is None:
+                    st.uplink = PacketQueue(capacity=10**9)
+                fr.queue_at[a] = st.uplink
 
     # -- trace helpers -------------------------------------------------------
 
@@ -758,74 +764,65 @@ class Simulation:
                 if fr.path is None:
                     pkt.dropped = DropReason.UNROUTED
                     self._drop(frame, 0, "RP", fr.attach, pkt)
-                    continue
-                if not fr.next_hop:
-                    # source attached directly at the destination
-                    pkt.delivered_ms = pkt.created_ms
-                    self._emit_data_delivered(
-                        frame, 0, "RP", fr.attach, delay_ms=0.0, flow=fid, seq=pkt.seq,
-                    )
-                    continue
-                self._forward(frame, 0, "RP", fr.attach, fid, pkt)
+                elif fr.attach == flow.dst:  # the source attached at the destination
+                    self._deliver(frame, 0, "RP", fr.attach, pkt, pkt.created_ms)
+                else:
+                    self._forward(frame, 0, "RP", fr.attach, fr, pkt)
 
-    def _forward(self, frame, slot, phase, sid, fid, pkt) -> None:
+    def _forward(self, frame, slot, phase, sid, fr, pkt) -> None:
         """Queue a packet at a hop for its next transmission."""
-        fr = self.flows[fid]
-        nxt = fr.next_hop[sid]
-        st = self.sts[sid]
-        if self.net.station(nxt).kind is StationKind.BASE_STATION:
-            q = st.uplink
-        else:
-            q = st.queues[fid]
+        q = fr.queue_at[sid]
         if not q.push(pkt):
             self._drop(frame, slot, phase, sid, pkt)
         elif q.next_deadline < self._next_due:
             self._next_due = q.next_deadline
 
+    def _deliver(self, frame, slot, phase, station, pkt, at_ms) -> None:
+        """The packet reaches its flow's destination, `station`, at at_ms."""
+        pkt.delivered_ms = at_ms
+        self._emit_data_delivered(
+            frame, slot, phase, station,
+            delay_ms=round(pkt.delay_ms, 6), flow=pkt.flow_id, seq=pkt.seq,
+        )
+
     # -- reservation period ------------------------------------------------------
 
-    def _pick_action(self, sid: int, frame: int):
-        """What, if anything, this station wants to signal in its slot.
-
-        Returns ("establish", flow, peer, kind, count) or
-        ("cancel", flow, peer, slots) or None. A flow that holds no slots
-        establishes once its queue holds a burst: one packet for a
+    def _pick_action(self, sid: int, frame: int) -> tuple[_Hop, int] | None:
+        """What, if anything, this station wants to signal in its slot:
+        (hop, count) or None. A hop holding no slots establishes, asking
+        for count slots, once its queue holds a burst: one packet for a
         real-time flow, burst_length for a datagram flow, or whatever is
-        left once the flow has stopped. A real-time flow that holds slots
-        cancels once it has stopped and its queue is empty. A flow whose
-        backoff has not run out waits. The lowest (priority class, flow
-        id) wins, with every cancel ranked after every establish.
+        left once the flow has stopped. A real-time hop that holds slots
+        cancels them once its flow has stopped and its queue is empty. A
+        hop whose backoff has not run out waits. The lowest (priority
+        class, flow id) wins, with every cancel ranked after every
+        establish.
         """
-        st = self.sts[sid]
         best_rank, best = math.inf, None
-        for fid, q in st.queues.items():  # ascending flow id
-            fr = self.flows[fid]
-            flow = fr.flow
+        for hop in self.sts[sid].hops.values():  # ascending flow id
+            flow, n = hop.flow, len(hop.queue)
             over = frame >= self._flow_stop(flow)
-            if fid in st.flow_slots:
-                if not (flow.real_time and over and len(q) == 0):
+            if hop.slots is not None:
+                if not (flow.real_time and over and n == 0):
                     continue
-                rank, act = 9, ("cancel", fid, fr.next_hop[sid], st.flow_slots[fid])
+                rank, count = 9, 0
             else:
                 burst = 1 if flow.real_time else flow.burst_length
-                if len(q) < burst and not (over and len(q) > 0):
+                if n < burst and not (over and n > 0):
                     continue
-                kind = ReservationKind.REAL_TIME if flow.real_time else ReservationKind.DATAGRAM
-                rank = establishment_priority(flow)
-                act = ("establish", fid, fr.next_hop[sid], kind, min(len(q), burst))
-            bo = st.backoff.get(fid)
+                rank, count = establishment_priority(flow), min(n, burst)
+            bo = hop.backoff
             if rank < best_rank and (bo is None or bo.eligible(frame)):
-                best_rank, best = rank, act
+                best_rank, best = rank, (hop, count)
         return best
 
-    def _register_failure(self, frame, r, sid, act, reason: str) -> None:
-        st = self.sts[sid]
-        fid = act[1]
-        bo = st.backoff.setdefault(fid, BackoffState())
-        nxt = bo.register_failure(frame, st.rng, self.mac_cfg.backoff)
+    def _register_failure(self, frame, r, sid, hop: _Hop, reason: str) -> None:
+        if hop.backoff is None:
+            hop.backoff = BackoffState()
+        nxt = hop.backoff.register_failure(frame, self.sts[sid].rng, self.mac_cfg.backoff)
         self._emit(
             frame, r, "RP", sid, "backoff",
-            flow=fid, reason=reason, attempt=bo.attempt, retry_frame=nxt,
+            flow=hop.flow.id, reason=reason, attempt=hop.backoff.attempt, retry_frame=nxt,
         )
 
     def _send_control(self, channel, tx_accum, frame, r, sid, msg: ControlMessage):
@@ -885,31 +882,29 @@ class Simulation:
                 if d == lo:
                     proceed.append((sid, act))
                 else:
-                    self._register_failure(frame, r, sid, act, "busy")
-        proceed.sort()
+                    self._register_failure(frame, r, sid, act[0], "busy")
+        proceed.sort(key=lambda c: c[0])  # by station id
 
         slot_tx: set[int] = set()
         slot_rx: set[int] = set()
-        inflight: dict[int, tuple] = {}
+        inflight: dict[int, _Hop] = {}
         handshakes = []
 
         # requests and cancels make the first channel, each channel's
         # replies the next
         channel: list[Transmission] = []
-        for sid, act in proceed:
-            st = self.sts[sid]
-            if act[0] == "establish":
-                _, fid, peer, kind, count = act
+        for sid, (hop, count) in proceed:
+            mac = self.sts[sid].mac
+            if hop.slots is None:
                 try:
-                    msg = st.mac.build_request(peer, kind, buffered_count=count)
+                    msg = mac.build_request(hop.peer, hop.kind, buffered_count=count)
                 except NoFreeSlotsError:
-                    self._emit(frame, r, "RP", sid, "no_free_slots", flow=fid)
-                    self._register_failure(frame, r, sid, act, "no_free_slots")
+                    self._emit(frame, r, "RP", sid, "no_free_slots", flow=hop.flow.id)
+                    self._register_failure(frame, r, sid, hop, "no_free_slots")
                     continue
             else:
-                _, fid, peer, slots = act
-                msg = st.mac.build_cancel(peer, slots)
-            inflight[sid] = act
+                msg = mac.build_cancel(hop.peer, hop.slots)
+            inflight[sid] = hop
             self._send_control(channel, slot_tx, frame, r, sid, msg)
         while channel:
             delivered = self._resolve_control(frame, r, channel)
@@ -929,9 +924,9 @@ class Simulation:
 
         # anyone still waiting on a reply lost it somewhere
         for sid in sorted(inflight):
-            act = inflight[sid]
-            reason = "no_accept" if act[0] == "establish" else "no_cancel_ack"
-            self._register_failure(frame, r, sid, act, reason)
+            hop = inflight[sid]
+            reason = "no_accept" if hop.slots is None else "no_cancel_ack"
+            self._register_failure(frame, r, sid, hop, reason)
 
         # every cluster head listens through the whole reservation period;
         # the slots it only idled in are booked at the end of the run
@@ -949,8 +944,8 @@ class Simulation:
         an accept or a cancel-ack completes the handshake or
         cancellation that rho began in this slot, and rho claims an
         accept's slots: inflight maps each initiator still waiting on a
-        reply to its action, and handshakes collects the completed
-        handshakes."""
+        reply to the hop it signals for, which holds slots exactly when
+        it cancels, and handshakes collects the completed handshakes."""
         st = self.sts[rho]
         kind = msg.kind
         if kind is MsgKind.CANCEL:
@@ -968,19 +963,19 @@ class Simulation:
             return ca
         if kind is MsgKind.CANCEL:
             return st.mac.answer_cancel(msg)  # its entries are dropped above
-        fid = inflight.pop(rho)[1]
-        st.backoff.pop(fid, None)
+        hop = inflight.pop(rho)
+        hop.backoff = None
         if kind is MsgKind.CANCEL_ACK:
-            st.flow_slots.pop(fid, None)
+            hop.slots = None
             self._emit(
                 frame, r, "RP", rho, "cancel_complete",
-                peer=msg.src, slots=list(msg.slots), flow=fid,
+                peer=msg.src, slots=list(msg.slots), flow=hop.flow.id,
             )
             return None
         self._claim(frame, r, rho, msg.slots, rho, msg.src, msg.entry_kind)
-        st.flow_slots[fid] = msg.slots
-        self.flows[fid].gap[rho] = 0
-        handshakes.append((rho, msg.src, msg.slots, msg.entry_kind, fid))
+        hop.slots = msg.slots
+        hop.gap = 0
+        handshakes.append((rho, msg.src, msg.slots, msg.entry_kind, hop.flow.id))
         return st.mac.broadcast_grant(msg)
 
     def _claim(self, frame, r, sid, slots, tx, rx, kind) -> None:
@@ -996,24 +991,24 @@ class Simulation:
 
     # -- contention-free period ----------------------------------------------
 
-    def _schedule(self) -> list[tuple[list[tuple[int, int, int]], frozenset[int]]]:
+    def _schedule(self) -> list[tuple[list[tuple[int, int, _Hop]], frozenset[int]]]:
         """CF slot -> (senders, listeners), the slot's plan by every
-        station's own table: senders is [(station, addressee, flow)] in
+        station's own table: senders is [(station, addressee, hop)] in
         station order, and listeners the stations that receive. A
-        sender's flow is the one whose flow_slots hold the slot. Tables
-        change only in the RP and at the frame boundary, and flow_slots
-        only in the same step as its station's table, so this is rebuilt
-        at most once per frame."""
+        sender's hop is the one whose slots hold the slot. Tables change
+        only in the RP and at the frame boundary, and a hop's slots only
+        in the same step as its station's table, so this is rebuilt at
+        most once per frame."""
         if self._cf_plan is None:
             slots = range(self.layout.cf_slots)
             senders = [[] for _ in slots]
             listeners = [[] for _ in slots]
             for sid in self.ch_ids:
                 st = self.sts[sid]
-                flow_of = {s: fid for fid, own in st.flow_slots.items() for s in own}
+                hop_of = {s: hop for hop in st.hops.values() for s in hop.slots or ()}
                 for e in st.mac.entries():
                     if e.tx == sid:
-                        senders[e.cf_slot].append((sid, e.rx, flow_of[e.cf_slot]))
+                        senders[e.cf_slot].append((sid, e.rx, hop_of[e.cf_slot]))
                     elif e.rx == sid:
                         listeners[e.cf_slot].append(sid)
             self._cf_plan = [(senders[s], frozenset(listeners[s])) for s in slots]
@@ -1021,7 +1016,7 @@ class Simulation:
 
     def _resolve_data(self, sent, listeners) -> tuple[list, list]:
         """The channel outcome of a CF slot in which the stations of `sent`
-        [(station, flow, packet, addressee)] send: ([(listener, index into
+        [(station, hop, packet, addressee)] send: ([(listener, index into
         sent)] for each packet its addressee receives, [(listener, sorted
         colliding senders)]), both in listener order. It depends only on
         each sender's station and addressee, in order, and the listeners,
@@ -1060,16 +1055,16 @@ class Simulation:
 
         senders, listeners = self._schedule()[s]
         sent = []
-        for sid, to, fid in senders:
-            q = self.sts[sid].queues[fid]
+        for sid, to, hop in senders:
+            q = hop.queue
             pkt = q.head_ready(slot_start)
             if pkt is None:
                 self.wasted_slots += 1
-                self._emit_wasted_slot(frame, s, "CFP", sid, flow=fid)
+                self._emit_wasted_slot(frame, s, "CFP", sid, flow=hop.flow.id)
                 continue
             q.pop()
-            sent.append((sid, fid, pkt, to))
-            self._emit_data_tx(frame, s, "CFP", sid, flow=fid, seq=pkt.seq, to=to)
+            sent.append((sid, hop, pkt, to))
+            self._emit_data_tx(frame, s, "CFP", sid, flow=pkt.flow_id, seq=pkt.seq, to=to)
 
         # the outcome is resolved once per senders and listeners in a run
         slot_tx = tuple(x[0] for x in sent)
@@ -1084,21 +1079,16 @@ class Simulation:
 
         heard = set()
         for rho, i in delivered:
-            sid, fid, pkt, _ = sent[i]
+            sid, hop, pkt, _ = sent[i]
             heard.add(rho)
-            self._emit_data_rx(frame, s, "CFP", rho, flow=fid, sender=sid, seq=pkt.seq)
-            fr = self.flows[fid]
-            if rho == fr.flow.dst:
-                pkt.delivered_ms = slot_end
-                self._emit_data_delivered(
-                    frame, s, "CFP", rho,
-                    delay_ms=round(pkt.delay_ms, 6), flow=fid, seq=pkt.seq,
-                )
+            self._emit_data_rx(frame, s, "CFP", rho, flow=pkt.flow_id, sender=sid, seq=pkt.seq)
+            if rho == hop.flow.dst:
+                self._deliver(frame, s, "CFP", rho, pkt, slot_end)
             else:
-                self._forward(frame, s, "CFP", rho, fid, pkt)
+                self._forward(frame, s, "CFP", rho, self.flows[pkt.flow_id], pkt)
         if len(delivered) < len(sent):
             got = {i for _, i in delivered}
-            for i, (sid, fid, pkt, _) in enumerate(sent):
+            for i, (sid, _, pkt, _) in enumerate(sent):
                 if i not in got:
                     pkt.dropped = DropReason.COLLISION
                     self._drop(frame, s, "CFP", sid, pkt)
@@ -1114,14 +1104,10 @@ class Simulation:
             if pkt is None:
                 continue
             st.uplink.pop()
-            pkt.delivered_ms = slot_end
             uplinked = True
             self.meter.add(sid, "tx")
             self._emit_uplink_tx(frame, s, "CFP", sid, flow=pkt.flow_id, seq=pkt.seq)
-            self._emit_data_delivered(
-                frame, s, "CFP", self.sink,
-                delay_ms=round(pkt.delay_ms, 6), flow=pkt.flow_id, seq=pkt.seq,
-            )
+            self._deliver(frame, s, "CFP", self.sink, pkt, slot_end)
 
         # stations with no part in the slot sleep; that is booked at the
         # end of the run
@@ -1141,11 +1127,10 @@ class Simulation:
             st = self.sts[sid]
             for e in st.mac.end_of_frame_cleanup(frame):
                 self._emit_delete(frame, last, "CFP", sid, e, "expire")
-            # every slot of a datagram flow was a datagram entry just wiped
-            st.flow_slots = {
-                fid: own for fid, own in st.flow_slots.items()
-                if self.flows[fid].flow.real_time
-            }
+            # every slot of a datagram hop was a datagram entry just wiped
+            for hop in st.hops.values():
+                if hop.kind is ReservationKind.DATAGRAM:
+                    hop.slots = None
         self._datagram_tables.clear()
 
         # session continuity: a real-time hop that once held slots but now
@@ -1154,15 +1139,14 @@ class Simulation:
             fr = self.flows[fid]
             if not fr.flow.real_time:
                 continue
-            for sid in fr.reserving_hops:
-                if sid not in fr.gap:
+            for hop in fr.hops:
+                if hop.gap is None:
                     continue
-                st = self.sts[sid]
-                if fid not in st.flow_slots and len(st.queues[fid]) > 0:
-                    fr.gap[sid] += 1
-                    fr.max_gap = max(fr.max_gap, fr.gap[sid])
+                if hop.slots is None and len(hop.queue) > 0:
+                    hop.gap += 1
+                    fr.max_gap = max(fr.max_gap, hop.gap)
                 else:
-                    fr.gap[sid] = 0
+                    hop.gap = 0
 
     def _fill_energy(self) -> None:
         """Book the slots no phase counted. A cluster head idles through

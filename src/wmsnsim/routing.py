@@ -45,10 +45,6 @@ class InvalidEndpointError(ValueError):
     """Raised for probe endpoints that cannot anchor a route."""
 
 
-class EmptyPathSetError(ValueError):
-    """Raised when a best path is requested from no paths."""
-
-
 class ProgressMode(str, Enum):
     # GREEDY: next hop must be closer to the sink than the current holder.
     # LITERAL: next hop must merely be closer to the sink than the source.
@@ -335,11 +331,18 @@ def selection_key(score: PathScore) -> tuple[float, int, tuple[int, ...]]:
     return (score.mean_deviation, score.path.hop_count, score.path.hops)
 
 
-def select_best_path(scores: list[PathScore]) -> PathScore:
-    """The first path by `selection_key`."""
-    if not scores:
-        raise EmptyPathSetError("no candidate paths")
-    return min(scores, key=selection_key)
+def rank_paths(
+    net: Network,
+    source: int,
+    sink: int,
+    config: RouteConfig = RouteConfig(),
+) -> list[PathScore]:
+    """The collected paths, scored, best first by `selection_key`. The
+    paths are distinct, so the key never ties."""
+    return sorted(
+        (score_path(net, p) for p in collect_paths(net, source, sink, config)),
+        key=selection_key,
+    )
 
 
 def discover(
@@ -348,8 +351,6 @@ def discover(
     sink: int,
     config: RouteConfig = RouteConfig(),
 ) -> PathScore | None:
-    """Convenience wrapper: collect, score, select. None if unroutable."""
-    paths = collect_paths(net, source, sink, config)
-    if not paths:
-        return None
-    return select_best_path([score_path(net, p) for p in paths])
+    """The route taken: the first of `rank_paths`, or None if unroutable."""
+    ranked = rank_paths(net, source, sink, config)
+    return ranked[0] if ranked else None

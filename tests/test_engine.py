@@ -390,6 +390,43 @@ def test_datagram_requests_wait_for_a_full_burst():
     assert report.flows[1].delivered > 0
 
 
+def test_one_station_signals_bonded_first_lower_flow_next_and_cancels_last():
+    # cluster head 1 forwards a datagram flow (the lowest id) and two
+    # bonded CBR flows to peer 2. It owns one RP slot a frame, so each
+    # frame it signals for one flow, and the order of its handshakes is
+    # its ranking. Flow 2 stops at frame 5, but its datagram neighbour
+    # keeps a burst queued until frame 29.
+    stations = [helpers.ch(1, 50, 50), helpers.ch(2, 150, 50), helpers.bs(9, 250, 50)]
+    flows = [
+        helpers.flow(
+            1, 1, 9, cls="ABR", mode="none", rate=1_000_000, burst_length=4, stop_frame=15,
+        ),
+        helpers.flow(2, 1, 9, stop_frame=5),
+        helpers.flow(3, 1, 9),
+    ]
+    report, trace, audit = audited(helpers.base(stations, flows, horizon=60))
+    assert audit.all_passed
+    done = [
+        (e["frame"], e["event"], e["detail"]["flow"]) for e in trace
+        if e["station"] == 1 and e["event"] in ("handshake_complete", "cancel_complete")
+    ]
+    # bonded real-time before datagram, and flow 2 before flow 3 of its class
+    assert done[:3] == [
+        (0, "handshake_complete", 2), (1, "handshake_complete", 3),
+        (2, "handshake_complete", 1),
+    ]
+    # from frame 2 on the datagram flow establishes every frame until its
+    # backlog is gone, and flow 2's cancel goes out only in the next frame,
+    # although flow 2 was over with an empty queue long before
+    datagram = [f for f, _, fid in done if fid == 1]
+    assert datagram == list(range(2, datagram[-1] + 1))
+    assert done[len(datagram) + 2:] == [(datagram[-1] + 1, "cancel_complete", 2)]
+    last_sent = max(e["frame"] for e in events(trace, "data_tx", station=1)
+                    if e["detail"]["flow"] == 2)
+    assert last_sent < 5 < datagram[-1] - 10
+    assert report.flows[2].delivered == report.flows[2].generated
+
+
 def test_mixed_traffic_classes_coexist():
     report, trace, audit = audited(helpers.mixed_traffic())
     assert audit.datagram_expiry.passed
@@ -519,7 +556,7 @@ class ScheduleChecked(Simulation):
             elif e is not None and e.rx == sid:
                 listeners.add(sid)
         plan = self._schedule()[s]
-        assert plan[0] == senders, (frame, s)
+        assert [(sid, to, hop.flow.id) for sid, to, hop in plan[0]] == senders, (frame, s)
         assert plan[1] == listeners, (frame, s)
         self.slots_checked += 1
         super()._cf_slot(frame, s)
@@ -544,10 +581,12 @@ def test_cached_cf_schedule_matches_every_table_at_every_cf_slot(data, inserts):
     assert report.trace_digest == Simulation(sc, seed=0).run()[0].trace_digest
 
 
-class FlowSlotsChecked(Simulation):
-    """After each frame boundary, checks that every flow a station holds
-    slots for is real-time and that each of its slots is a transmit entry
-    of the station's table, addressed to the flow's next hop."""
+class HopSlotsChecked(Simulation):
+    """After each frame boundary, checks both ways that the hops' slots
+    and the tables' transmit entries are one record: every hop holding
+    slots is real-time and each of its slots is a transmit entry of its
+    station's table addressed to the hop's peer, and every transmit entry
+    of a station's table is the slot of exactly one of its hops."""
 
     frames_checked = 0
     slots_checked = 0
@@ -555,14 +594,20 @@ class FlowSlotsChecked(Simulation):
     def _end_frame(self, frame):
         super()._end_frame(frame)
         for sid, st in self.sts.items():
-            for fid, own in st.flow_slots.items():
-                fr = self.flows[fid]
-                assert fr.flow.real_time, (frame, sid, fid)
-                for s in own:
+            for fid, hop in st.hops.items():
+                assert hop.flow.id == fid
+                if hop.slots is None:
+                    continue
+                assert hop.flow.real_time, (frame, sid, fid)
+                for s in hop.slots:
                     e = st.mac.table.get(s)
                     assert e is not None, (frame, sid, fid, s)
-                    assert (e.tx, e.rx) == (sid, fr.next_hop[sid]), (frame, sid, fid, s)
+                    assert (e.tx, e.rx) == (sid, hop.peer), (frame, sid, fid, s)
                     self.slots_checked += 1
+            for e in st.mac.entries():
+                if e.tx == sid:
+                    owners = [h for h in st.hops.values() if e.cf_slot in (h.slots or ())]
+                    assert len(owners) == 1, (frame, sid, e.cf_slot)
         self.frames_checked += 1
 
 
@@ -577,7 +622,7 @@ class FlowSlotsChecked(Simulation):
 )
 def test_flow_slots_hold_only_real_time_transmit_entries_after_each_frame(data, seed):
     sc = from_dict(data)
-    sim = FlowSlotsChecked(sc, seed=seed)
+    sim = HopSlotsChecked(sc, seed=seed)
     report, trace = sim.run()
     assert sim.frames_checked == sc.horizon_frames
     assert sim.slots_checked > 0

@@ -7,7 +7,6 @@ from collections import deque
 import pytest
 
 from wmsnsim import (
-    EmptyPathSetError,
     GridSpec,
     InvalidEndpointError,
     Network,
@@ -23,8 +22,8 @@ from wmsnsim import (
     forward_probe,
     make_probe,
     next_hop_candidates,
+    rank_paths,
     score_path,
-    select_best_path,
 )
 
 GRID = GridSpec(cell_width=10.0, cell_height=10.0)
@@ -109,8 +108,9 @@ def test_two_chain_paths_and_scores():
     assert scores[(0, 1, 2, 9)].mean_deviation == pytest.approx(3.0)
     assert scores[(0, 3, 4, 9)].mean_deviation == pytest.approx(5.0)
     assert scores[(0, 1, 2, 9)].intermediate_deviations == pytest.approx((3.0, 3.0))
-    best = select_best_path(list(scores.values()))
-    assert best.path.hops == (0, 1, 2, 9)
+    ranked = rank_paths(net, 0, 9)
+    assert [s.path.hops for s in ranked] == [(0, 1, 2, 9), (0, 3, 4, 9)]
+    assert [s.mean_deviation for s in ranked] == pytest.approx([3.0, 5.0])
     got = discover(net, 0, 9)
     assert got is not None and got.path.hops == (0, 1, 2, 9)
 
@@ -120,11 +120,12 @@ def test_direct_path_scores_zero():
     assert score_path(net, Path((0, 9))).mean_deviation == 0.0
 
 
-def test_select_best_path_tiebreaks():
+def test_rank_paths_tiebreaks():
+    # no path: nothing ranked, nothing discovered
     net = two_chain_net()
-    a = score_path(net, Path((0, 1, 2, 9)))
-    assert select_best_path([a, a]).path.hops == a.path.hops
-    # equal deviation, fewer hops wins
+    assert rank_paths(net, 0, 9, RouteConfig(hop_budget=2)) == []
+    assert discover(net, 0, 9, RouteConfig(hop_budget=2)) is None
+    # equal deviation: fewer hops first, then the smaller hop sequence
     flat = Network(
         [
             omni_ch(0, 0, 0, 40),
@@ -135,11 +136,10 @@ def test_select_best_path_tiebreaks():
         sink=9,
         grid_spec=GRID,
     )
-    short = score_path(flat, Path((0, 1, 9)))
-    long = score_path(flat, Path((0, 1, 2, 9)))
-    assert select_best_path([long, short]).path is short.path
-    with pytest.raises(EmptyPathSetError):
-        select_best_path([])
+    ranked = rank_paths(flat, 0, 9)
+    assert [s.mean_deviation for s in ranked] == [0.0] * 4
+    assert [s.path.hops for s in ranked] == [(0, 9), (0, 1, 9), (0, 2, 9), (0, 1, 2, 9)]
+    assert discover(flat, 0, 9) == ranked[0]
 
 
 def test_progress_mode_greedy_vs_literal():
