@@ -23,7 +23,7 @@ optical uplink only at cluster heads that are some flow's last hop.
 Energy is counted as it is spent (sending, receiving, listening for a
 reserved packet); idle listening in the RP and sleep are booked in bulk
 at the end of the run. The frame boundary visits only tables that hold
-a datagram entry.
+a datagram entry, and wipes those in one pass in slot order.
 
 An RP slot in which some owner contends is a message loop. The
 contenders' requests and cancels make the first channel; every message
@@ -34,9 +34,9 @@ reservation broadcast. _hear states each message's rule once: whoever
 hears a cancel or its ack drops the reservation it names, through
 _cancel, and the addressee answers a request or a cancel, or completes
 the handshake or cancellation it began. Every hearer of a handshake
-records it through _claim, StationMac.claim's one rule with its events:
-the responder as it answers the request, the initiator as it hears the
-accept, and a bystander as it hears the broadcast.
+records its grant, built once, through _claim, StationMac.claim's one rule
+with its events: the responder as it answers the request, the initiator
+as it hears the accept, and a bystander as it hears the broadcast.
 
 The simulation emits a structured event trace. Post-run audits
 (see audit.py) replay that trace against the topology to check the
@@ -672,27 +672,6 @@ class Simulation:
         )
         self._lines.append(_line(frame, slot, phase, station, event, detail))
 
-    # Every reservation-table change is reported through these two, so they
-    # also drop the cached CF schedule and note the tables with datagram
-    # entries for the frame boundary.
-
-    def _emit_insert(self, frame, slot, phase, sid, e):
-        self._cf_plan = None
-        if e.kind is ReservationKind.DATAGRAM:
-            self._datagram_tables.add(sid)
-        self._emit_rt_insert(
-            frame, slot, phase, sid,
-            established_frame=e.established_frame, kind=e.kind._value_, rx=e.rx,
-            slot_index=e.cf_slot, tx=e.tx,
-        )
-
-    def _emit_delete(self, frame, slot, phase, sid, e, reason):
-        self._cf_plan = None
-        self._emit_rt_delete(
-            frame, slot, phase, sid,
-            kind=e.kind._value_, reason=reason, rx=e.rx, slot_index=e.cf_slot, tx=e.tx,
-        )
-
     def _drop(self, frame, slot, phase, sid, pkt):
         # the reason is the one the drop site set on the packet
         self._emit_packet_drop(
@@ -954,12 +933,12 @@ class Simulation:
             self._cancel(frame, r, rho, msg.slots, tx=msg.dst, rx=msg.src)
         if msg.dst != rho:
             if kind is MsgKind.RESERVATION_BROADCAST:
-                self._claim(frame, r, rho, msg.slots, msg.src, msg.peer, msg.entry_kind)
+                self._claim(frame, r, rho, msg.grant)
             return None
         if kind is MsgKind.CONNECT_REQUEST:
-            ca = st.mac.answer_request(msg)
+            ca = st.mac.answer_request(msg, frame)
             if ca is not None:  # else no common slot; requester times out
-                self._claim(frame, r, rho, ca.slots, msg.src, rho, msg.entry_kind)
+                self._claim(frame, r, rho, ca.grant)
             return ca
         if kind is MsgKind.CANCEL:
             return st.mac.answer_cancel(msg)  # its entries are dropped above
@@ -972,22 +951,41 @@ class Simulation:
                 peer=msg.src, slots=list(msg.slots), flow=hop.flow.id,
             )
             return None
-        self._claim(frame, r, rho, msg.slots, rho, msg.src, msg.entry_kind)
+        self._claim(frame, r, rho, msg.grant)
         hop.slots = msg.slots
         hop.gap = 0
         handshakes.append((rho, msg.src, msg.slots, msg.entry_kind, hop.flow.id))
         return st.mac.broadcast_grant(msg)
 
-    def _claim(self, frame, r, sid, slots, tx, rx, kind) -> None:
-        inserted, displaced = self.sts[sid].mac.claim(slots, tx, rx, kind, frame)
+    # _claim, _cancel and _end_frame make and emit every table change and
+    # drop the cached CF schedule; _claim notes tables gaining a datagram entry
+
+    def _claim(self, frame, r, sid, grant) -> None:
+        inserted, displaced = self.sts[sid].mac.claim(grant)
+        if not inserted:
+            return
+        self._cf_plan = None
         for e in displaced:
-            self._emit_delete(frame, r, "RP", sid, e, "overwrite")
+            self._emit_rt_delete(
+                frame, r, "RP", sid,
+                kind=e.kind._value_, reason="overwrite", rx=e.rx, slot_index=e.cf_slot, tx=e.tx,
+            )
+        kind = grant[0].kind
+        if kind is ReservationKind.DATAGRAM:
+            self._datagram_tables.add(sid)
         for e in inserted:
-            self._emit_insert(frame, r, "RP", sid, e)
+            self._emit_rt_insert(
+                frame, r, "RP", sid,
+                established_frame=frame, kind=kind._value_, rx=e.rx, slot_index=e.cf_slot, tx=e.tx,
+            )
 
     def _cancel(self, frame, r, sid, slots, tx, rx) -> None:
         for e in self.sts[sid].mac.apply_cancel(slots, tx=tx, rx=rx):
-            self._emit_delete(frame, r, "RP", sid, e, "cancel")
+            self._cf_plan = None
+            self._emit_rt_delete(
+                frame, r, "RP", sid,
+                kind=e.kind._value_, reason="cancel", rx=rx, slot_index=e.cf_slot, tx=tx,
+            )
 
     # -- contention-free period ----------------------------------------------
 
@@ -1125,8 +1123,12 @@ class Simulation:
         self._emit_frame_end(frame, last, "CFP", -1)
         for sid in sorted(self._datagram_tables):
             st = self.sts[sid]
+            self._cf_plan = None
             for e in st.mac.end_of_frame_cleanup(frame):
-                self._emit_delete(frame, last, "CFP", sid, e, "expire")
+                self._emit_rt_delete(
+                    frame, last, "CFP", sid,
+                    kind=e.kind._value_, reason="expire", rx=e.rx, slot_index=e.cf_slot, tx=e.tx,
+                )
             # every slot of a datagram hop was a datagram entry just wiped
             for hop in st.hops.values():
                 if hop.kind is ReservationKind.DATAGRAM:

@@ -128,18 +128,14 @@ def choose_grant(common_mask: int, kind: ReservationKind, requested: int) -> tup
     real-time connection, min(requested, available) for a datagram burst.
     Empty tuple when nothing is common."""
     common = mask_to_slots(common_mask)
-    if not common:
-        return ()
-    if kind is ReservationKind.REAL_TIME:
-        return common[:1]
-    return common[: max(1, min(requested, len(common)))]
+    return common[: 1 if kind is ReservationKind.REAL_TIME else max(1, requested)]
 
 
 @dataclass(frozen=True)
 class ControlMessage:
-    """One RP control message. dst None means broadcast. `peer` names the
-    reservation counterpart on broadcast messages so hearers can build the
-    entry (tx = src, rx = peer)."""
+    """One RP control message; dst None means broadcast. `peer` names the
+    reservation counterpart on a broadcast (tx = src, rx = peer). An accept
+    and its broadcast carry the grant: the entries every hearer claims."""
 
     kind: MsgKind
     src: int
@@ -149,6 +145,7 @@ class ControlMessage:
     buffered_count: int = 0
     slots: tuple[int, ...] = ()
     entry_kind: ReservationKind | None = None
+    grant: tuple[ReservationEntry, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -225,9 +222,9 @@ class StationMac:
         return mask
 
     def claim(
-        self, slots: tuple[int, ...], tx: int, rx: int, kind: ReservationKind, frame: int
+        self, grant: tuple[ReservationEntry, ...]
     ) -> tuple[list[ReservationEntry], list[ReservationEntry]]:
-        """Record reservation (tx, rx, kind) in `slots`; newest news wins.
+        """Record the entries of one grant (see ControlMessage); newest news wins.
 
         Returns (inserted, displaced): entries that changed the table and
         any conflicting older entries they overwrote (a displacement is a
@@ -243,18 +240,17 @@ class StationMac:
         table = self.table
         inserted = []
         displaced = []
-        for s in slots:
-            cur = table.get(s)
+        for e in grant:
+            cur = table.get(e.cf_slot)
             if cur is not None:
-                if (cur.tx, cur.rx, cur.kind) == (tx, rx, kind):
+                if cur.tx == e.tx and cur.rx == e.rx and cur.kind is e.kind:
                     continue  # already known
                 if self.owner in (cur.tx, cur.rx):
                     continue  # first-hand, kept over hearsay
                 displaced.append(cur)
-            elif s >= self.cf_slots:
-                raise ValueError(f"cf_slot {s} outside 0..{self.cf_slots - 1}")
-            e = ReservationEntry(cf_slot=s, tx=tx, rx=rx, kind=kind, established_frame=frame)
-            table[s] = e
+            elif e.cf_slot >= self.cf_slots:
+                raise ValueError(f"cf_slot {e.cf_slot} outside 0..{self.cf_slots - 1}")
+            table[e.cf_slot] = e
             inserted.append(e)
         return inserted, displaced
 
@@ -278,19 +274,21 @@ class StationMac:
             entry_kind=kind,
         )
 
-    def answer_request(self, cr: ControlMessage) -> ControlMessage | None:
-        """Receiver side: the accept granting the lowest common free slots,
-        which the receiver then claims. None means no common slot; the
-        requester just times out, indistinguishable from a lost reply."""
-        grant = choose_grant(cr.free_mask & self.free_mask(), cr.entry_kind, cr.buffered_count)
-        if not grant:
+    def answer_request(self, cr: ControlMessage, frame: int) -> ControlMessage | None:
+        """Receiver side: the accept granting the lowest common free slots
+        in `frame`, with the grant's entries, built once for every hearer.
+        None means no common slot; the requester times out, as on a lost reply."""
+        slots = choose_grant(cr.free_mask & self.free_mask(), cr.entry_kind, cr.buffered_count)
+        if not slots:
             return None
+        grant = tuple(ReservationEntry(s, cr.src, self.owner, cr.entry_kind, frame) for s in slots)
         return ControlMessage(
             kind=MsgKind.CONNECT_ACCEPT,
             src=self.owner,
             dst=cr.src,
-            slots=grant,
+            slots=slots,
             entry_kind=cr.entry_kind,
+            grant=grant,
         )
 
     def broadcast_grant(self, ca: ControlMessage) -> ControlMessage:
@@ -303,6 +301,7 @@ class StationMac:
             peer=ca.src,
             slots=ca.slots,
             entry_kind=ca.entry_kind,
+            grant=ca.grant,
         )
 
     # -- cancellation ----------------------------------------------------
@@ -344,8 +343,7 @@ class StationMac:
 
     def end_of_frame_cleanup(self, frame: int) -> list[ReservationEntry]:
         """Datagram reservations are valid only for the frame that granted
-        them; wipe them. Real-time entries stay."""
-        removed = [e for e in self.entries() if e.kind is ReservationKind.DATAGRAM]
-        for e in removed:
-            del self.table[e.cf_slot]
-        return removed
+        them; wipe them in one pass in slot order, and return them in that
+        order. Real-time entries stay."""
+        table = self.table
+        return [table.pop(s) for s in sorted(table) if table[s].kind is ReservationKind.DATAGRAM]

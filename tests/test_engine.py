@@ -8,6 +8,7 @@ import math
 import pickle
 import random
 import sys
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -33,7 +34,7 @@ from wmsnsim.mac import ReservationKind
 from wmsnsim.scenario import FAULT_KINDS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import line_mixed  # noqa: E402
+from workloads import WORKLOADS, line_mixed  # noqa: E402
 
 
 def run(data, seed=0):
@@ -627,6 +628,122 @@ def test_flow_slots_hold_only_real_time_transmit_entries_after_each_frame(data, 
     assert sim.frames_checked == sc.horizon_frames
     assert sim.slots_checked > 0
     assert report.trace_digest == Simulation(sc, seed=seed).run()[0].trace_digest
+
+
+class TablesReplayed(Simulation):
+    """Replays every rt_insert and rt_delete onto tables of its own and,
+    after each RP slot and each frame boundary, checks that they equal
+    every station's table entry for entry. A table change that goes
+    unreported, or is reported with other values, shows as a difference;
+    an insert must find its slot empty in the replay, and a delete must
+    name the entry the replay holds there."""
+
+    def __init__(self, scenario, seed=0):
+        super().__init__(scenario, seed)
+        self.replayed = {sid: {} for sid in self.ch_ids}
+        self.events_read = 0
+        self.checks = 0
+
+    def _compare(self, where):
+        for e in self.trace[self.events_read:]:
+            d, table = e["detail"], self.replayed.get(e["station"])
+            if e["event"] == "rt_insert":
+                assert d["slot_index"] not in table, (where, e)
+                table[d["slot_index"]] = (
+                    d["slot_index"], d["tx"], d["rx"], d["kind"], d["established_frame"]
+                )
+            elif e["event"] == "rt_delete":
+                held = table.pop(d["slot_index"], None)
+                assert held is not None and held[1:4] == (d["tx"], d["rx"], d["kind"]), (
+                    where, e
+                )
+        self.events_read = len(self.trace)
+        for sid in self.ch_ids:
+            table = {
+                s: (e.cf_slot, e.tx, e.rx, e.kind._value_, e.established_frame)
+                for s, e in self.sts[sid].mac.table.items()
+            }
+            assert table == self.replayed[sid], (where, sid)
+        self.checks += 1
+
+    def _rp_slot(self, frame, r):
+        super()._rp_slot(frame, r)
+        self._compare((frame, r))
+
+    def _end_frame(self, frame):
+        super()._end_frame(frame)
+        self._compare((frame, "end"))
+
+
+@pytest.mark.parametrize(
+    "data, seed", [(helpers.churn(), 0), (line_mixed(60), 3)], ids=["churn", "line-mixed"]
+)
+def test_replayed_table_events_match_every_table_after_each_rp_slot_and_frame(data, seed):
+    sc = from_dict(data)
+    sim = TablesReplayed(sc, seed=seed)
+    report, trace = sim.run()
+    assert sim.checks == sc.horizon_frames * (sc.layout.rp_slots + 1)
+    reasons = {e["detail"]["reason"] for e in events(trace, "rt_delete")}
+    assert {"expire", "cancel"} <= reasons
+    assert report.trace_digest == Simulation(sc, seed=seed).run()[0].trace_digest
+
+
+class GrantsShared(Simulation):
+    """After each RP slot, checks every handshake completed in it: the
+    initiator and the responder hold the same entry object in each
+    granted slot, with the handshake's values, and every station whose
+    table holds an entry equal to it holds that object."""
+
+    def __init__(self, scenario, seed=0):
+        super().__init__(scenario, seed)
+        self.events_read = 0
+        self.endpoints_checked = self.bystanders_checked = 0
+
+    def _rp_slot(self, frame, r):
+        super()._rp_slot(frame, r)
+        for ev in self.trace[self.events_read:]:
+            if ev["event"] != "handshake_complete":
+                continue
+            x, d = ev["station"], ev["detail"]
+            for s in d["slots"]:
+                e = self.sts[x].mac.table[s]
+                assert (e.cf_slot, e.tx, e.rx, e.kind._value_, e.established_frame) == (
+                    s, x, d["peer"], d["kind"], frame
+                )
+                assert self.sts[d["peer"]].mac.table[s] is e, (frame, r, x, s)
+                self.endpoints_checked += 1
+                for sid in self.ch_ids:
+                    held = self.sts[sid].mac.table.get(s)
+                    if sid not in (x, d["peer"]) and held == e:
+                        assert held is e, (frame, r, sid, s)
+                        self.bystanders_checked += 1
+                with pytest.raises(FrozenInstanceError):
+                    e.tx = e.rx
+        self.events_read = len(self.trace)
+
+
+def test_every_hearer_of_a_handshake_stores_the_same_entries():
+    sc = from_dict(helpers.churn())
+    sim = GrantsShared(sc, seed=0)
+    report, trace = sim.run()
+    assert sim.endpoints_checked > 0 and sim.bystanders_checked > 0
+    assert report.trace_digest == Simulation(sc, seed=0).run()[0].trace_digest
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("grid6-cbr", "5b96a6516a316bd7ed5385426d2eabf8cf76c5464cd036074ba72a7f899540aa"),
+        ("grid10-route", "cc857f4c4a7615f4f7959e1b3b83a38bf95de0bb8b0009c06324bea4b175c918"),
+        ("line-mixed", "c2fc205ac940608a9a10d7eda02b6e7b535cc3fdba33d00fedb9312c72157ef7"),
+    ],
+    ids=["grid6-cbr", "grid10-route", "line-mixed"],
+)
+def test_bench_workloads_keep_their_recorded_digests_at_seed_0(name, digest):
+    # the full-horizon benchmark workloads; perfbench/README.md records
+    # these digests, taken at the commit that added the benchmark
+    report, _ = run(WORKLOADS[name](), seed=0)
+    assert report.trace_digest == digest
 
 
 def test_line_mixed_pins_every_flow_stat():

@@ -36,6 +36,11 @@ def entry(slot, tx, rx, kind=RT, frame=0):
     )
 
 
+def grant_of(slots, tx, rx, kind=RT, frame=0):
+    """The entries of one grant, as an accept carries them."""
+    return tuple(entry(s, tx, rx, kind, frame) for s in slots)
+
+
 def test_frame_layout_timing():
     lay = FrameLayout()
     assert lay.rp_slots == 11 and lay.cf_slots == 20
@@ -79,20 +84,20 @@ def test_reservation_table_basics():
     m = StationMac(owner=1, cf_slots=4)
     assert mask_to_slots(m.free_mask()) == (0, 1, 2, 3)
     assert m.free_mask() == 0b1111
-    inserted, displaced = m.claim((2,), 3, 5, RT, 0)
+    inserted, displaced = m.claim(grant_of((2,), 3, 5, RT, 0))
     assert inserted == [entry(2, 3, 5)] and displaced == []
     e = inserted[0]
     assert m.table[2] is e and m.entries() == [e]
     assert m.free_mask() == 0b1011
     assert mask_to_slots(m.free_mask()) == (0, 1, 3)
     # same slot, other foreign link: newest wins, old entry reported
-    inserted, displaced = m.claim((2,), 7, 8, RT, 1)
+    inserted, displaced = m.claim(grant_of((2,), 7, 8, RT, 1))
     assert displaced == [e] and m.table[2] is inserted[0]
     assert m.apply_cancel((2,), tx=7, rx=8) == inserted
     assert m.apply_cancel((2,), tx=7, rx=8) == []
     assert m.table == {}
     with pytest.raises(ValueError):
-        m.claim((4,), 3, 5, RT, 0)  # outside the frame's CF slots
+        m.claim(grant_of((4,), 3, 5, RT, 0))  # outside the frame's CF slots
     assert m.table == {}
 
 
@@ -100,7 +105,7 @@ def test_mask_round_trip():
     assert mask_to_slots(0) == ()
     assert mask_to_slots(0b10110) == (1, 2, 4)
     m = StationMac(owner=0, cf_slots=9)
-    m.claim((0, 3, 7), 1, 2, RT, 0)
+    m.claim(grant_of((0, 3, 7), 1, 2, RT, 0))
     assert mask_to_slots(m.free_mask()) == (1, 2, 4, 5, 6, 8)
 
 
@@ -138,8 +143,8 @@ def test_choose_grant_oracle():
         assert all(mask >> s & 1 for s in got)
 
 
-def hear_broadcast(mac, srb, frame):
-    return mac.claim(srb.slots, srb.src, srb.peer, srb.entry_kind, frame)
+def hear_broadcast(mac, srb):
+    return mac.claim(srb.grant)
 
 
 def grant(a, b, kind=RT, buffered=1, frame=0):
@@ -148,18 +153,18 @@ def grant(a, b, kind=RT, buffered=1, frame=0):
     accept. Returns the request, the accept and the broadcast, or None
     when b has no common slot."""
     cr = a.build_request(b.owner, kind, buffered_count=buffered)
-    ca = b.answer_request(cr)
+    ca = b.answer_request(cr, frame)
     if ca is None:
         return None
-    assert b.claim(ca.slots, a.owner, b.owner, kind, frame)[1] == []
-    assert a.claim(ca.slots, a.owner, b.owner, kind, frame)[1] == []
+    assert b.claim(ca.grant)[1] == []
+    assert a.claim(ca.grant)[1] == []
     return cr, ca, a.broadcast_grant(ca)
 
 
 def play_handshake(cf_slots=6, kind=RT, buffered=1, frame=0):
     a, b, w = (StationMac(owner=i, cf_slots=cf_slots) for i in (1, 2, 3))  # w: bystander
     cr, ca, srb = grant(a, b, kind, buffered, frame)
-    inserted, displaced = hear_broadcast(w, srb, frame)
+    inserted, displaced = hear_broadcast(w, srb)
     return a, b, w, cr, ca, srb, inserted, displaced
 
 
@@ -174,7 +179,7 @@ def test_full_establishment_handshake():
         assert mac.entries() == [entry(0, 1, 2)]
     assert ins == [entry(0, 1, 2)] and disp == []
     # a second broadcast of the same news changes nothing
-    again_ins, again_disp = hear_broadcast(w, srb, frame=1)
+    again_ins, again_disp = hear_broadcast(w, srb)
     assert again_ins == [] and again_disp == []
 
 
@@ -182,7 +187,7 @@ def test_establishment_respects_busy_slots():
     a = holding(1, 4, entry(0, 9, 1))  # a is busy receiving in slot 0
     b = holding(2, 4, entry(1, 8, 2))  # b is busy in slot 1
     cr = a.build_request(2, RT)
-    ca = b.answer_request(cr)
+    ca = b.answer_request(cr, 0)
     assert ca.slots == (2,)  # lowest common free slot
 
 
@@ -190,7 +195,7 @@ def test_answer_request_with_no_common_slot_is_silent():
     a = holding(1, 2, entry(0, 9, 1))
     b = holding(2, 2, entry(1, 8, 2))
     cr = a.build_request(2, RT)
-    assert b.answer_request(cr) is None
+    assert b.answer_request(cr, 0) is None
     # and the failed answer reserved nothing
     assert mask_to_slots(b.free_mask()) == (0,)
 
@@ -216,7 +221,7 @@ def foreign_grant_over(w):
     b = holding(2, 4, entry(0, 9, 2))
     *_, srb = grant(a, b, frame=5)
     assert srb.slots == (1,)
-    return hear_broadcast(w, srb, frame=5)
+    return hear_broadcast(w, srb)
 
 
 def test_broadcast_displaces_stale_entry():
@@ -273,9 +278,12 @@ def test_cancel_validation():
 
 
 def test_end_of_frame_cleanup_removes_only_datagrams():
-    m = holding(1, 6, entry(0, 1, 2, RT), entry(1, 1, 2, DG), entry(2, 3, 1, DG))
+    # entered out of slot order: the trace's expire events follow the
+    # order the entries come back in, which is ascending slot order
+    m = holding(1, 6, entry(2, 3, 1, DG), entry(0, 1, 2, RT), entry(1, 1, 2, DG))
     removed = m.end_of_frame_cleanup(frame=4)
     assert sorted(e.cf_slot for e in removed) == [1, 2]
+    assert [e.cf_slot for e in removed] == [1, 2]
     assert [e.cf_slot for e in m.entries()] == [0]
     assert m.end_of_frame_cleanup(frame=5) == []
 
@@ -346,7 +354,7 @@ def test_free_mask_conservation_under_protocol_play():
                 continue
             _, ca, srb = got
             other = ({1, 2, 3} - {i, p}).pop()
-            hear_broadcast(macs[other], srb, frame=step)
+            hear_broadcast(macs[other], srb)
             live.append((i, p, ca.slots))
             # everyone agrees about every granted slot
             for s in ca.slots:
@@ -384,7 +392,7 @@ def test_claim_rules_on_random_tables():
         # a claim on free slots inserts every slot and displaces nothing
         free = mask_to_slots(m.free_mask())
         some_free = tuple(sorted(rng.sample(free, rng.randint(0, len(free)))))
-        inserted, displaced = m.claim(some_free, tx, rx, kind, frame)
+        inserted, displaced = m.claim(grant_of(some_free, tx, rx, kind, frame))
         assert inserted == [replace(news, cf_slot=s) for s in some_free]
         assert displaced == []
 
@@ -392,7 +400,7 @@ def test_claim_rules_on_random_tables():
         # holds the same reservation is kept, any other slot takes the news
         before = dict(m.table)
         slots = tuple(sorted(rng.sample(range(cf), rng.randint(1, cf))))
-        inserted, displaced = m.claim(slots, tx, rx, kind, frame)
+        inserted, displaced = m.claim(grant_of(slots, tx, rx, kind, frame))
         kept = [
             s for s in slots
             if s in before and (
@@ -414,7 +422,7 @@ def test_claim_rules_on_random_tables():
 
         # repeating a claim changes nothing
         after = dict(m.table)
-        assert m.claim(slots, tx, rx, kind, frame + 1) == ([], [])
+        assert m.claim(grant_of(slots, tx, rx, kind, frame + 1)) == ([], [])
         assert m.table == after
 
 
@@ -430,7 +438,7 @@ def test_message_builders_change_no_table():
             cr = a.build_request(2, rng.choice([RT, DG]), rng.randint(0, cf))
         except NoFreeSlotsError:
             cr = None
-        ca = b.answer_request(cr) if cr else None
+        ca = b.answer_request(cr, 0) if cr else None
         if ca:
             a.broadcast_grant(ca)
             built += 1
