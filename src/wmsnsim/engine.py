@@ -53,19 +53,21 @@ non-ASCII character as \\uXXXX).
 serialize_trace joins those lines, and trace_digest is the SHA-256 of
 their UTF-8 bytes, which a written trace.jsonl holds byte for byte.
 
-A run's trace is serialised once, as it is emitted. Each kind in
-_SHAPES has its own emitter, Simulation._emit_<kind>, compiled from
-_SHAPES: it takes the detail's values as arguments and fills the kind's
-printf template in _TEMPLATES when they have the kind's types. _emit
-emits the other kinds, and _line makes their lines, and those of an
-off-type value, with the C detail encoder. At the end of each frame
-run() folds the frame's lines into the UTF-8 bytes Simulation.trace
-keeps (a Trace, a list that also holds its canonical text), so the
-digest run() takes only hashes them, and serialize_trace, trace_digest
-and `wmsnsim run --trace` reuse them for as long as no event has been
-appended. run() pauses the cyclic collector over its frames: a run makes
-no reference cycles, so each pass would only re-walk every event dict of
-the growing trace and free nothing.
+A run's trace is serialised once, as it is emitted. Every kind the
+engine emits during frames is declared in _SHAPES and has its own
+emitter, Simulation._emit_<kind>, compiled from that declaration: it
+takes the detail's values as arguments and fills the kind's printf
+template when they pass their types' tests. The one other way to make a
+line is _line, _CANONICAL.encode of the event: it writes the route
+events (Simulation._emit), an event with a value off its type, and a
+trace that keeps no text. At the end of each frame run() folds the
+frame's lines into the UTF-8 bytes Simulation.trace keeps (a Trace, a
+list that also holds its canonical text), so the digest run() takes only
+hashes them, and serialize_trace, trace_digest and `wmsnsim run --trace`
+reuse them for as long as no event has been appended. run() pauses the
+cyclic collector over its frames: a run makes no reference cycles, so
+each pass would only re-walk every event dict of the growing trace and
+free nothing.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from json.encoder import c_make_encoder, encode_basestring_ascii
 
+from .geometry import float_sum
 from .mac import (
     BackoffState,
     ControlMessage,
@@ -217,7 +219,7 @@ class EnergyMeter:
 
     def consumed(self, sid: int) -> float:
         c = self.counts[sid]
-        return sum(c[s] * getattr(self.costs, s) for s in self.STATES)
+        return float_sum(c[s] * getattr(self.costs, s) for s in self.STATES)
 
     def duty_cycle(self, sid: int) -> float:
         c = self.counts[sid]
@@ -332,26 +334,19 @@ class SimReport:
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# The detail encoder JSONEncoder.iterencode would build for _CANONICAL on
-# every call, built once. It returns a detail's JSON as a sequence of
-# chunks. Its circular-reference markers outlive a call, so a failed
-# encode clears them (see _line).
-_MARKERS: dict = {}
-if c_make_encoder is None:
-    def _encode_detail(detail, _level):
-        return (_CANONICAL.encode(detail),)
-else:
-    _encode_detail = c_make_encoder(
-        _MARKERS, _CANONICAL.default, encode_basestring_ascii, _CANONICAL.indent,
-        _CANONICAL.key_separator, _CANONICAL.item_separator, _CANONICAL.sort_keys,
-        _CANONICAL.skipkeys, _CANONICAL.allow_nan,
-    )
+
+def _line(event):
+    """An event's canonical line, newline included: the reference that
+    each kind's template writes byte for byte (see _emitter), and the
+    line of every event no template writes."""
+    return _CANONICAL.encode(event) + "\n"
 
 
-# The event kinds whose detail always has the same keys: each key, in
-# sorted order, with the type of its value (int, a finite float, or str
-# for an enum value that JSON writes as it is, see _QUOTABLE). Together
-# they are almost every event of a run.
+# The detail of each kind the engine emits during frames: each key, in
+# sorted order, with the type of its value (see _TYPES). A kind's one
+# list-typed key is its only optional one: the detail leaves it out when
+# its list is empty. The route events, at most one per flow, have two
+# detail shapes and come from Simulation._emit.
 _SHAPES = {
     "data_tx": (("flow", int), ("seq", int), ("to", int)),
     "data_rx": (("flow", int), ("sender", int), ("seq", int)),
@@ -366,31 +361,39 @@ _SHAPES = {
     "uplink_tx": (("flow", int), ("seq", int)),
     "wasted_slot": (("flow", int),),
     "frame_end": (),
+    "control_tx": (("kind", str), ("slots", list[int]), ("to", int | None)),
+    "control_fault_drop": (("kind", str), ("slots", list[int]), ("to", int | None)),
+    "control_collision": (("senders", list[int]),),
+    "data_collision": (("senders", list[int]),),
+    "handshake_complete": (("flow", int), ("kind", str), ("peer", int), ("slots", list[int])),
+    "cancel_complete": (("flow", int), ("peer", int), ("slots", list[int])),
+    "backoff": (("attempt", int), ("flow", int), ("reason", str), ("retry_frame", int)),
+    "no_free_slots": (("flow", int),),
 }
 
-# The phases and the enum values the engine puts in those kinds: strings
-# that need no escape, so a template quotes them as they are
+# The phases, backoff reasons and enum values the engine puts in those
+# kinds: strings that need no escape, so a template quotes them as they are
 _QUOTABLE = frozenset(
     ["RP", "CFP", "cancel", "overwrite", "expire"]
+    + ["busy", "no_free_slots", "no_accept", "no_cancel_ack"]
+    + [k._value_ for k in MsgKind]
     + [k._value_ for k in ReservationKind]
     + [r._value_ for r in DropReason]
 )
 
-
-def _template(event, shape):
-    """The printf template of one kind's canonical line. Its arguments are
-    the detail's values in key order, then frame, phase, slot and station:
-    the envelope's keys in sorted order."""
-    conv = {int: "%d", float: "%r", str: '"%s"'}
-    detail = ",".join(f'"{k}":{conv[t]}' for k, t in shape)
-    return (
-        f'{{"detail":{{{detail}}},"event":"{event}","frame":%d,"phase":"%s",'
-        '"slot":%d,"station":%d}\n'
-    )
-
-
-_TEMPLATES = {event: _template(event, shape) for event, shape in _SHAPES.items()}
-
+# Each value type's inline test, printf conversion and argument, for the
+# value named {v}: an int that is not a bool, a finite float, a str in
+# _QUOTABLE, a list of such ints, and such an int or None
+_TYPES = {
+    int: ("type({v}) is int", "%d", "{v}"),
+    float: ("type({v}) is float and -_INF < {v} < _INF", "%r", "{v}"),
+    str: ("type({v}) is str and {v} in _QUOTABLE", '"%s"', "{v}"),
+    list[int]: (
+        "type({v}) is list and all([type(x) is int for x in {v}])", "[%s]",
+        '",".join(map(str, {v}))',
+    ),
+    int | None: ("({v} is None or type({v}) is int)", "%s", '"null" if {v} is None else {v}'),
+}
 
 _INF = math.inf
 
@@ -398,33 +401,26 @@ _INF = math.inf
 def _emitter(event, shape):
     """Simulation._emit_<event>(frame, slot, phase, station, *, <the
     kind's keys>): it appends the event, with its detail in key order,
-    and the event's line. The line fills the kind's template when every
-    value has its type in _SHAPES (an int not a bool, a str in _QUOTABLE,
-    a finite float) and the envelope its own (int frame, slot and
-    station, a str phase in _QUOTABLE); any other comes from _line.
+    and the event's line. The line fills the kind's printf template when
+    every value passes its type's test in _TYPES, the envelope's too (int
+    frame, slot and station, a str phase in _QUOTABLE); any other comes
+    from _line. An empty list leaves its key out of the detail and takes
+    the kind's second template, which has no such key.
 
     The method is compiled from _SHAPES, never from input, so that each
-    value arrives as an argument and each check is one inline type test:
-    a generic check that mapped type() over a detail's values took about
+    value arrives as an argument and each check is one inline test: a
+    generic check that mapped type() over a detail's values took about
     as long as the template saved."""
     keys = [k for k, _ in shape]
-    values = keys + ["frame", "phase", "slot", "station"]
-    types = [t for _, t in shape] + [int, str, int, int]
-    tests = [f"type({v}) is {t.__name__}" for v, t in zip(values, types)]
-    tests += [f"{v} in _QUOTABLE" for v, t in zip(values, types) if t is str]
-    tests += [f"-_INF < {v} < _INF" for v, t in zip(values, types) if t is float]
     name = f"_emit_{event}"
-    params = "".join(f", {k}" for k in keys)
-    src = (
-        f"def {name}(self, frame, slot, phase, station{', *' if keys else ''}{params}):\n"
-        f"    detail = {{{', '.join(f'{k!r}: {k}' for k in keys)}}}\n"
-        "    self.trace.append({'frame': frame, 'slot': slot, 'phase': phase,"
-        f" 'station': station, 'event': {event!r}, 'detail': detail}})\n"
-        f"    if {' and '.join(tests)}:\n"
-        f"        self._lines.append({_TEMPLATES[event]!r} % ({', '.join(values)},))\n"
-        "    else:\n"
-        f"        self._lines.append(_line(frame, slot, phase, station, {event!r}, detail))\n"
-    )
+    src = f"def {name}(self, frame, slot, phase, station{', *' if keys else ''}"
+    src += "".join(f", {k}" for k in keys) + "):\n"
+    for k, t in shape:
+        if t == list[int]:
+            src += f"    if {k} == []:\n"
+            src += _emit_body(event, [kt for kt in shape if kt[0] != k], " " * 8)
+            src += "        return\n"
+    src += _emit_body(event, shape, " " * 4)
     # compiled in this module's globals: _line, _QUOTABLE and _INF are
     # looked up here when the method runs
     scope = {}
@@ -432,45 +428,25 @@ def _emitter(event, shape):
     return scope[name]
 
 
-def _line(frame, slot, phase, station, event, detail):
-    """The canonical line of the event with these six envelope values,
-    newline included: what _CANONICAL.encode gives for it. It makes the
-    lines of the irregular kinds (Simulation._emit), those the kinds'
-    emitters cannot template (see _emitter) and those of _trace_lines.
-
-    With int frame, slot and station and str phase and event it takes the
-    reused C detail encoder, and otherwise _CANONICAL.encode; so an
-    off-type value costs time, never a byte."""
-    if not (type(frame) is type(slot) is type(station) is int and isinstance(phase, str)
-            and isinstance(event, str)):
-        return _CANONICAL.encode({
-            "frame": frame, "slot": slot, "phase": phase, "station": station,
-            "event": event, "detail": detail,
-        }) + "\n"
-    string = encode_basestring_ascii
-    try:
-        detail = "".join(_encode_detail(detail, 0))
-    except BaseException:
-        _MARKERS.clear()
-        raise
-    return (
-        f'{{"detail":{detail},"event":{string(event)},"frame":{frame:d},'
-        f'"phase":{string(phase)},"slot":{slot:d},"station":{station:d}}}\n'
+def _emit_body(event, shape, indent):
+    """The statements of an emitter that append an event with this detail
+    shape and its line."""
+    pairs = [*shape, ("frame", int), ("phase", str), ("slot", int), ("station", int)]
+    test = " and ".join(_TYPES[t][0].format(v=k) for k, t in pairs)
+    args = ", ".join(_TYPES[t][2].format(v=k) for k, t in pairs)
+    fields = [f'"{k}":{_TYPES[t][1]}' for k, t in pairs]
+    n = len(shape)
+    # the envelope's keys in sorted order, with the detail's inside
+    template = (
+        f'{{"detail":{{{",".join(fields[:n])}}},"event":"{event}",{",".join(fields[n:])}}}\n'
     )
-
-
-_ENVELOPE = frozenset(["frame", "slot", "phase", "station", "event", "detail"])
-
-
-def _trace_lines(events):
-    """Each event's canonical line, newline included: _line for a dict
-    with the envelope Simulation._emit writes, _CANONICAL.encode for any
-    other."""
-    for e in events:
-        if e.keys() != _ENVELOPE:
-            yield _CANONICAL.encode(e) + "\n"
-            continue
-        yield _line(e["frame"], e["slot"], e["phase"], e["station"], e["event"], e["detail"])
+    detail = ", ".join(f"{k!r}: {k}" for k, _ in shape)
+    return (
+        f"{indent}e = {{'frame': frame, 'slot': slot, 'phase': phase, 'station': station,"
+        f" 'event': {event!r}, 'detail': {{{detail}}}}}\n"
+        f"{indent}self.trace.append(e)\n"
+        f"{indent}self._lines.append({template!r} % ({args},) if {test} else _line(e))\n"
+    )
 
 
 class Trace(list):
@@ -497,8 +473,8 @@ def _held(events) -> bytearray | str | None:
 
 def _canonical(events) -> bytearray | bytes:
     """The UTF-8 bytes of serialize_trace(events): a run's Trace holds them
-    already (see Trace), any other Trace gets them through _trace_lines
-    once, and a plain list on every call. A Trace's kept buffer itself
+    already (see Trace), any other Trace gets them through _line once,
+    and a plain list on every call. A Trace's kept buffer itself
     is returned, so callers only read it.
 
     The lines are gathered as bytes, which hold a trace once instead of
@@ -507,8 +483,8 @@ def _canonical(events) -> bytearray | bytes:
     text = _held(events)
     if text is None:
         text = bytearray()
-        for line in _trace_lines(events):
-            text += line.encode()
+        for e in events:
+            text += _line(e).encode()
         if isinstance(events, Trace):
             events.sealed, events._text = len(events), text
     return text.encode() if isinstance(text, str) else text
@@ -652,25 +628,20 @@ class Simulation:
     # -- trace helpers -------------------------------------------------------
 
     # An event of a kind in _SHAPES is emitted by its kind's compiled
-    # method, _emit_<kind> (see _emitter, set after this class); any other
-    # by _emit.
+    # method, _emit_<kind> (see _emitter, set after this class); a route
+    # event, or one a test injects, by _emit.
 
     def _emit(self, frame: int, slot: int, phase: str, station: int, event: str, **detail):
         # detail values must be JSON-ready (an enum's ._value_, which skips
         # the .value property; lists, not tuples) and never changed
         # afterwards: the trace keeps them as given, and the line made here
         # is their text
-        self.trace.append(
-            {
-                "frame": frame,
-                "slot": slot,
-                "phase": phase,
-                "station": station,
-                "event": event,
-                "detail": detail,
-            }
-        )
-        self._lines.append(_line(frame, slot, phase, station, event, detail))
+        e = {
+            "frame": frame, "slot": slot, "phase": phase, "station": station,
+            "event": event, "detail": detail,
+        }
+        self.trace.append(e)
+        self._lines.append(_line(e))
 
     def _drop(self, frame, slot, phase, sid, pkt):
         # the reason is the one the drop site set on the packet
@@ -799,20 +770,20 @@ class Simulation:
         if hop.backoff is None:
             hop.backoff = BackoffState()
         nxt = hop.backoff.register_failure(frame, self.sts[sid].rng, self.mac_cfg.backoff)
-        self._emit(
-            frame, r, "RP", sid, "backoff",
-            flow=hop.flow.id, reason=reason, attempt=hop.backoff.attempt, retry_frame=nxt,
+        self._emit_backoff(
+            frame, r, "RP", sid,
+            attempt=hop.backoff.attempt, flow=hop.flow.id, reason=reason, retry_frame=nxt,
         )
 
     def _send_control(self, channel, tx_accum, frame, r, sid, msg: ControlMessage):
-        detail = {"kind": msg.kind._value_, "to": msg.dst}
-        if msg.slots:
-            detail["slots"] = list(msg.slots)
+        kind = msg.kind._value_
         tx_accum.add(sid)
-        if (detail["kind"], frame, sid) in self.faults:
-            self._emit(frame, r, "RP", sid, "control_fault_drop", **detail)
+        if (kind, frame, sid) in self.faults:
+            self._emit_control_fault_drop(
+                frame, r, "RP", sid, kind=kind, slots=list(msg.slots), to=msg.dst
+            )
             return
-        self._emit(frame, r, "RP", sid, "control_tx", **detail)
+        self._emit_control_tx(frame, r, "RP", sid, kind=kind, slots=list(msg.slots), to=msg.dst)
         channel.append(
             Transmission(
                 sender=sid, payload=msg,
@@ -824,9 +795,7 @@ class Simulation:
         delivered, collisions = resolve_slot(channel, self.ch_set)
         for rho in sorted(collisions):
             self.control_collisions += 1
-            self._emit(
-                frame, r, "RP", rho, "control_collision", senders=collisions[rho]
-            )
+            self._emit_control_collision(frame, r, "RP", rho, senders=collisions[rho])
         return delivered
 
     def _rp_slot(self, frame: int, r: int) -> None:
@@ -878,7 +847,7 @@ class Simulation:
                 try:
                     msg = mac.build_request(hop.peer, hop.kind, buffered_count=count)
                 except NoFreeSlotsError:
-                    self._emit(frame, r, "RP", sid, "no_free_slots", flow=hop.flow.id)
+                    self._emit_no_free_slots(frame, r, "RP", sid, flow=hop.flow.id)
                     self._register_failure(frame, r, sid, hop, "no_free_slots")
                     continue
             else:
@@ -896,9 +865,8 @@ class Simulation:
 
         # a handshake is complete once the broadcast went out, heard or not
         for x, peer, slots, kind, fid in handshakes:
-            self._emit(
-                frame, r, "RP", x, "handshake_complete",
-                peer=peer, slots=list(slots), kind=kind._value_, flow=fid,
+            self._emit_handshake_complete(
+                frame, r, "RP", x, flow=fid, kind=kind._value_, peer=peer, slots=list(slots),
             )
 
         # anyone still waiting on a reply lost it somewhere
@@ -946,9 +914,8 @@ class Simulation:
         hop.backoff = None
         if kind is MsgKind.CANCEL_ACK:
             hop.slots = None
-            self._emit(
-                frame, r, "RP", rho, "cancel_complete",
-                peer=msg.src, slots=list(msg.slots), flow=hop.flow.id,
+            self._emit_cancel_complete(
+                frame, r, "RP", rho, flow=hop.flow.id, peer=msg.src, slots=list(msg.slots),
             )
             return None
         self._claim(frame, r, rho, msg.grant)
@@ -1073,7 +1040,7 @@ class Simulation:
         delivered, collisions = outcome
         for rho, colliding in collisions:
             self.data_collisions += 1
-            self._emit(frame, s, "CFP", rho, "data_collision", senders=list(colliding))
+            self._emit_data_collision(frame, s, "CFP", rho, senders=list(colliding))
 
         heard = set()
         for rho, i in delivered:
@@ -1188,7 +1155,7 @@ class Simulation:
                 else:
                     fs.queued_at_end += 1
             if delays:
-                fs.mean_delay_ms = sum(delays) / len(delays)
+                fs.mean_delay_ms = float_sum(delays) / len(delays)
                 fs.max_delay_ms = max(delays)
             fs.session_gap_frames = fr.max_gap
             flows[fid] = fs

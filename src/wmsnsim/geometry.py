@@ -1,14 +1,17 @@
 """Planar geometry for the simulator.
 
 Points, directional transmission sectors, the cell grid that schedules
-reservation-period slots, and distance helpers. Angles are radians,
-distances are meters, and every function here is pure.
+reservation-period slots, distance helpers, and the one way the
+package adds floats. Angles are radians, distances are meters, and every
+function here is pure.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,6 +102,13 @@ def point_to_line_distance(p: Point, a: Point, b: Point) -> float:
     ap_x = p.x - a.x
     ap_y = p.y - a.y
     return abs(ab_x * ap_y - ab_y * ap_x) / math.hypot(ab_x, ab_y)
+
+
+def float_sum(values) -> float:
+    """The values added left to right, from 0.0. sum() adds floats with
+    compensation from Python 3.12 on, so its last digits, and a trace
+    that holds them, would depend on the interpreter."""
+    return reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .geometry import (
     angle_diff,
     bearing,
     distance,
+    float_sum,
     point_to_line_distance,
 )
 from .topology import Network, StationKind
@@ -319,7 +320,7 @@ def score_path(net: Network, path: Path) -> PathScore:
         for h in path.hops[1:-1]
     )
     if devs:
-        mean = sum(devs) / (path.hop_count - 1)
+        mean = float_sum(devs) / (path.hop_count - 1)
     else:
         mean = 0.0
     return PathScore(path=path, mean_deviation=mean, intermediate_deviations=devs)

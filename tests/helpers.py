@@ -61,6 +61,17 @@ def two_hop(horizon=200, stop_frame=None, faults=(), mode="bonded", rate=64000):
     return base(stations, [f], horizon=horizon, faults=faults)
 
 
+def one_cf_slot(horizon=12):
+    """two_hop's stations with one CF slot and two CBR flows from CH 1:
+    the second flow finds no free slot."""
+    data = base(
+        [ch(1, 50, 50), ch(2, 150, 50), bs(9, 250, 50)],
+        [flow(1, 1, 9), flow(2, 1, 9)], horizon=horizon,
+    )
+    data["frame"]["cf_slots"] = 1
+    return data
+
+
 def sensor_without_cluster_head():
     """A sensor flow 1 -> base station 9 with no cluster head to carry it."""
     return base([sensor(1, 50, 50), bs(9, 150, 50)], [flow(1, 1, 9)], horizon=5)
@@ -189,10 +200,10 @@ def record_trace_lines(monkeypatch):
     """Records every event line the engine makes from now on, in order;
     returns the list it fills. Each kind in engine._SHAPES has its own
     emitter, Simulation._emit_<kind>, which makes its event's line, and
-    engine._line makes every other: those of Simulation._emit and of
-    engine._trace_lines, and an emitter's line when the kind's template
-    does not fit. A _line call inside an emitter makes that emitter's
-    line, so it is recorded once."""
+    engine._line makes every other: those of Simulation._emit and of a
+    trace serialised without kept text, and an emitter's line when a
+    value fails its type's test. A _line call inside an emitter makes
+    that emitter's line, so it is recorded once."""
     made = []
     inside = [False]
     real_line = engine._line

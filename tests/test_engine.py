@@ -5,8 +5,11 @@ import gc
 import hashlib
 import json
 import math
+import os
 import pickle
 import random
+import re
+import subprocess
 import sys
 from dataclasses import FrozenInstanceError
 from enum import Enum
@@ -784,6 +787,39 @@ def test_line_mixed_pins_every_flow_stat():
     }
 
 
+# runs line_mixed(60) at seed 0 and prints its digest and audit verdicts
+_ONE_RUN = """
+import dataclasses, sys
+from workloads import line_mixed
+from wmsnsim import Simulation, from_dict, run_audits
+sc = from_dict(line_mixed(60))
+sim = Simulation(sc, seed=0)
+report, trace = sim.run()
+audit = run_audits(
+    trace, sim.net, slotting_enabled=sc.mac.slotting_enabled,
+    interference_multiplier=sc.channel.interference_multiplier,
+)
+print(report.trace_digest)
+print([dataclasses.asdict(v) for v in audit.verdicts()])
+"""
+
+
+def test_a_run_gives_the_same_trace_and_verdicts_under_any_string_hash_seed():
+    # str hashes, and with them the order of a set of strs, change with
+    # PYTHONHASHSEED; nothing a run writes may depend on them
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    out = [
+        subprocess.run(
+            [sys.executable, "-c", _ONE_RUN], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+        ).stdout
+        for seed in ("0", "12345")
+    ]
+    assert out[0] == out[1] and out[0].count("\n") == 2
+    assert out[0].split("\n")[0] == run(line_mixed(60), seed=0)[0].trace_digest
+
+
 class OutcomeChecked(Simulation):
     """After each CF slot, re-resolves the slot's full transmission list,
     built from the slot's data_tx events and the tables, and checks the
@@ -1100,7 +1136,7 @@ def test_engine_events_are_json_ready_and_unshared():
     assert report.trace_digest == trace_digest(trace)
 
 
-# the tier-1 pin scenarios and churn
+# the tier-1 pin scenarios, churn, and a flow that finds no free slot
 LINE_CORPUS = [
     helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=60, rf=200.0),
     helpers.churn(),
@@ -1109,18 +1145,19 @@ LINE_CORPUS = [
         helpers.grid(4, flows=helpers.grid_flows(4, 3), horizon=40, slotting=False, rf=150.0),
         channel={"interference_multiplier": 1.5},
     ),
+    helpers.one_cf_slot(),
 ]
 
 
 def test_every_emitted_line_is_its_events_canonical_json(monkeypatch):
     made, encoded = helpers.record_trace_lines(monkeypatch), [0]
-    real_encode = engine._encode_detail
+    recorded_line = engine._line
 
-    def counted(detail, level):
+    def counted(event):
         encoded[0] += 1
-        return real_encode(detail, level)
+        return recorded_line(event)
 
-    monkeypatch.setattr(engine, "_encode_detail", counted)
+    monkeypatch.setattr(engine, "_line", counted)
     kinds = set()
     for data in LINE_CORPUS:
         made.clear()
@@ -1128,10 +1165,37 @@ def test_every_emitted_line_is_its_events_canonical_json(monkeypatch):
         report, trace = run(data)
         assert made == [canonical([e]) for e in trace]
         assert sha256_hex("".join(made)) == report.trace_digest
-        # only the kinds without a template reach the C encoder
-        assert encoded[0] == sum(e["event"] not in engine._SHAPES for e in trace)
+        # every kind but route has a template, and every value fits it
+        assert encoded[0] == sum(e["event"] == "route" for e in trace) > 0
         kinds.update(e["event"] for e in trace)
-    assert set(engine._SHAPES) <= kinds
+    assert kinds == set(engine._SHAPES) | {"route"}
+
+
+def test_a_flow_that_finds_no_free_slot_backs_off_for_that_reason():
+    _, trace = run(helpers.one_cf_slot())
+    at = [i for i, e in enumerate(trace) if e["event"] == "no_free_slots"]
+    assert at
+    for i in at:
+        e, nxt = trace[i], trace[i + 1]
+        assert nxt["event"] == "backoff" and nxt["detail"]["reason"] == "no_free_slots"
+        assert nxt["detail"]["flow"] == e["detail"]["flow"] == 2
+        assert [nxt[k] for k in ("frame", "slot", "station")] == [
+            e[k] for k in ("frame", "slot", "station")
+        ]
+
+
+def test_readme_lists_every_event_kind_with_its_detail_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| event | detail keys |", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines()[2:]:
+        event, keys = row.split("|")[1:3]
+        listed[event.strip().strip("`")] = [
+            re.findall(r"`(\w+)`", shape) for shape in keys.split("; or ")
+        ]
+    declared = {event: [[k for k, _ in shape]] for event, shape in engine._SHAPES.items()}
+    declared["route"] = [["flow", "unrouted"], ["flow", "mean_deviation", "path"]]
+    assert listed == declared
 
 
 def test_templates_quote_only_strings_json_leaves_as_they_are():
@@ -1175,10 +1239,14 @@ def test_an_event_off_its_kinds_shape_still_comes_out_canonical():
     # every case with its kind's keys also goes through the kind's emitter,
     # as does, for each value of each kind, one off that value alone: True
     # (an int that %d, %r and "%s" all write otherwise than JSON), a string
-    # JSON must escape, and NaN
+    # JSON must escape, NaN, an empty list (its key is left out), a tuple,
+    # a list of something other than ints, and None where it may go
     emitted = [(e, d) for e, d in made if sorted(d) == [k for k, _ in engine._SHAPES[e]]]
-    good = {int: 1, float: 1.5, str: "cancel"}
-    off = {int: [True], float: [True, nan], str: [True, 'quo"te']}
+    good = {int: 1, float: 1.5, str: "cancel", list[int]: [1, 2], int | None: 3}
+    off = {
+        int: [True], float: [True, nan], str: [True, 'quo"te'],
+        list[int]: [[], (1, 2), [True], [1.0], ["1"], [[1]]], int | None: [True, 1.0, None],
+    }
     for event, shape in engine._SHAPES.items():
         for key, t in shape:
             emitted += [(event, dict({k: good[u] for k, u in shape}, **{key: v})) for v in off[t]]
@@ -1197,7 +1265,9 @@ def test_an_event_off_its_kinds_shape_still_comes_out_canonical():
     assert [e["detail"] for e in trace[:len(made)]] == [d for _, d in made]
     start = len(made) + 1
     assert len(emitted) > len(made)
-    assert [(e["event"], e["detail"]) for e in trace[start:start + len(emitted)]] == emitted
+    assert [(e["event"], e["detail"]) for e in trace[start:start + len(emitted)]] == [
+        (event, {k: v for k, v in detail.items() if v != []}) for event, detail in emitted
+    ]
     assert serialize_trace(trace) == canonical(trace)
     assert report.trace_digest == sha256_hex(canonical(trace))
     # in a trace read back: a detail key that is an envelope key, an
