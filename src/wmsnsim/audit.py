@@ -32,6 +32,14 @@ real-time handshake_complete has changed them; in a frame with no such
 change its last findings are flagged again at the new frame. Events the
 replay never reads (data_tx, packet_gen, wasted_slot, ...) are skipped
 once they have marked the frame.
+
+The replay takes a trace's items as they are stored. A run's trace holds
+each event the engine emits during frames as a record, the tuple (kind,
+frame, slot, phase, station, the detail's values in sorted key order),
+and its route events as dicts. The auditor reads a record's fields by
+position, from a key table of its own (_FIELDS), and turns any event
+dict, from a run or from a plain list, into such a record through that
+same table. It imports nothing from the engine.
 """
 
 from __future__ import annotations
@@ -92,11 +100,33 @@ class AuditReport:
         return [getattr(self, name) for name, _ in VERDICTS]
 
 
-# every event the replay reads; the others only mark the frame
-_READS = frozenset({
-    "rt_insert", "rt_delete", "handshake_complete", "cancel_complete",
-    "control_tx", "control_collision", "frame_end",
-})
+# The detail keys of every kind the replay reads, in the order a trace
+# record holds their values after (kind, frame, slot, phase, station):
+# sorted, as in the event's canonical line. The other kinds only mark
+# the frame. An event dict leaves out a list key whose list is empty.
+_FIELDS = {
+    "rt_insert": ("established_frame", "kind", "rx", "slot_index", "tx"),
+    "rt_delete": ("kind", "reason", "rx", "slot_index", "tx"),
+    "handshake_complete": ("flow", "kind", "peer", "slots"),
+    "cancel_complete": ("flow", "peer", "slots"),
+    "control_tx": ("kind", "slots", "to"),
+    "control_collision": ("senders",),
+    "frame_end": (),
+}
+_LISTS = frozenset({"slots", "senders"})
+
+
+def _record(ev: dict) -> tuple:
+    """An event dict as the record the replay reads: its kind and frame,
+    and for a kind in _FIELDS its slot, phase, station and values too."""
+    kind = ev["event"]
+    keys = _FIELDS.get(kind)
+    if keys is None:
+        return kind, ev["frame"]
+    d = ev["detail"]
+    return (kind, ev["frame"], ev["slot"], ev["phase"], ev["station"]) + tuple(
+        d.get(k, []) if k in _LISTS else d[k] for k in keys
+    )
 
 
 def _rt_consistency(tables, chs, footprint) -> tuple[int, list[tuple]]:
@@ -268,9 +298,13 @@ def run_audits(
         ("station", "slot", "expected"),
     )
 
+    # the items as stored, whatever list holds them; a record's fields
+    # are read by position, in _FIELDS order
     cur_frame = None
-    for ev in trace:
-        frame = ev["frame"]
+    for ev in list.__iter__(trace):
+        if type(ev) is not tuple:
+            ev = _record(ev)
+        frame = ev[1]
         if cur_frame is None:
             cur_frame = frame
         elif frame != cur_frame:
@@ -279,45 +313,43 @@ def run_audits(
             check_datagram_expiry(cur_frame)
             cur_frame = frame
 
-        kind = ev["event"]
-        if kind not in _READS:
+        kind = ev[0]
+        if kind not in _FIELDS:
             continue
-        st = ev["station"]
-        d = ev["detail"]
 
         if kind == "rt_insert":
-            tables[st][d["slot_index"]] = (d["tx"], d["rx"], d["kind"])
+            _, _, _, _, st, _, ekind, rx, slot, tx = ev
+            tables[st][slot] = (tx, rx, ekind)
             version += 1
 
         elif kind == "rt_delete":
+            _, _, _, _, st, ekind, reason, rx, slot, tx = ev
             # the persistence rule protects the reservation itself, so it
             # binds the two endpoint tables; a bystander's cached entry may
             # be displaced by fresher broadcasts (spatial slot reuse)
-            if d["kind"] == "real_time" and st in (d["tx"], d["rx"]):
+            if ekind == "real_time" and (st == tx or st == rx):
                 rt_persist.checked += 1
-                if d["reason"] != "cancel":
-                    rt_persist.flag(
-                        frame=frame, station=st, slot=d["slot_index"],
-                        reason=d["reason"],
-                    )
-                held = obligations.get((d["slot_index"], d["tx"], d["rx"]))
+                if reason != "cancel":
+                    rt_persist.flag(frame=frame, station=st, slot=slot, reason=reason)
+                held = obligations.get((slot, tx, rx))
                 if held is not None:
                     held.discard(st)
                     if not held:
-                        obligations.pop((d["slot_index"], d["tx"], d["rx"]))
-            tables[st].pop(d["slot_index"], None)
+                        obligations.pop((slot, tx, rx))
+            tables[st].pop(slot, None)
             version += 1
 
         elif kind == "handshake_complete" or kind == "cancel_complete":
-            x, y = st, d["peer"]
-            slots = d["slots"]
-            want = None  # a cancel leaves no entry for x -> y
             if kind == "handshake_complete":
-                want = (x, y, d["kind"])
-                if d["kind"] == "real_time":
+                _, _, _, _, x, _, ekind, y, slots = ev
+                want = (x, y, ekind)
+                if ekind == "real_time":
                     for slot in slots:
                         obligations[(slot, x, y)] = {x, y}
                     version += 1
+            else:
+                _, _, _, _, x, _, y, slots = ev
+                want = None  # a cancel leaves no entry for x -> y
             members = agreement_set(x, y)
             agreement.checked += len(members) * len(slots)
             for member in members:
@@ -339,19 +371,20 @@ def run_audits(
                     )
 
         elif kind == "control_tx":
-            if d["kind"] in ("CR", "CC", "SRB"):
+            _, _, slot, phase, st, ckind, _, _ = ev
+            if ckind in ("CR", "CC", "SRB"):
                 discipline.checked += 1
                 own = rp_slot_map.get(st)
-                if ev["phase"] != "RP" or ev["slot"] != own:
+                if phase != "RP" or slot != own:
                     discipline.flag(
-                        frame=frame, station=st, kind=d["kind"],
-                        slot=ev["slot"], own_slot=own,
+                        frame=frame, station=st, kind=ckind, slot=slot, own_slot=own,
                     )
 
         elif kind == "control_collision":
+            _, _, _, _, st, senders = ev
             collision_free.checked += 1
-            collision_free.flag(frame=frame, station=st, senders=d["senders"])
-            for a, b in combinations(sorted(d["senders"]), 2):
+            collision_free.flag(frame=frame, station=st, senders=senders)
+            for a, b in combinations(sorted(senders), 2):
                 hop_bound.checked += 1
                 h = hops(a, b)
                 if h is None or not (1 <= h <= 4):

@@ -26,6 +26,7 @@ import sys
 
 from .audit import AuditReport, run_audits
 from .engine import SimReport, Simulation, _canonical
+from .geometry import float_sum
 from .routing import ProgressMode, rank_paths
 from .scenario import Scenario, ScenarioError, from_dict
 from .topology import attach_point
@@ -133,7 +134,7 @@ def _print_report(report: SimReport, audit: AuditReport) -> None:
             f"mean_delay={fs.mean_delay_ms:.2f}ms max={fs.max_delay_ms:.2f}ms "
             f"miss={fs.deadline_miss_rate:.4f} loss={fs.loss_rate:.4f}"
         )
-    energy = sum(s.energy for s in report.stations.values())
+    energy = float_sum(s.energy for s in report.stations.values())
     print(
         f"stations: {len(report.stations)} total_energy={energy:.2f} "
         f"control_collisions={report.control_collisions} "

@@ -43,12 +43,12 @@ The simulation emits a structured event trace. Post-run audits
 protocol's correctness properties; the engine itself never consults
 the auditor.
 
-Each event is a dict of frame, slot, phase, station, event and detail,
-and every detail value is JSON-ready when emitted (enum values, lists,
-never tuples). Its canonical line is json.dumps(event, sort_keys=True,
-separators=(",", ":")) followed by one "\\n": keys sorted at every
-level, no spaces, floats as repr, and ASCII-only strings (quote,
-backslash, \\b \\f \\n \\r \\t escaped short, every other control or
+An event reads as a dict of frame, slot, phase, station, event and
+detail, and every detail value is JSON-ready when emitted (enum values,
+lists, never tuples). Its canonical line is json.dumps(event,
+sort_keys=True, separators=(",", ":")) followed by one "\\n": keys sorted
+at every level, no spaces, floats as repr, and ASCII-only strings
+(quote, backslash, \\b \\f \\n \\r \\t escaped short, every other control or
 non-ASCII character as \\uXXXX).
 serialize_trace joins those lines, and trace_digest is the SHA-256 of
 their UTF-8 bytes, which a written trace.jsonl holds byte for byte.
@@ -56,18 +56,21 @@ their UTF-8 bytes, which a written trace.jsonl holds byte for byte.
 A run's trace is serialised once, as it is emitted. Every kind the
 engine emits during frames is declared in _SHAPES and has its own
 emitter, Simulation._emit_<kind>, compiled from that declaration: it
-takes the detail's values as arguments and fills the kind's printf
-template when they pass their types' tests. The one other way to make a
-line is _line, _CANONICAL.encode of the event: it writes the route
-events (Simulation._emit), an event with a value off its type, and a
-trace that keeps no text. At the end of each frame run() folds the
-frame's lines into the UTF-8 bytes Simulation.trace keeps (a Trace, a
-list that also holds its canonical text), so the digest run() takes only
-hashes them, and serialize_trace, trace_digest and `wmsnsim run --trace`
-reuse them for as long as no event has been appended. run() pauses the
-cyclic collector over its frames: a run makes no reference cycles, so
-each pass would only re-walk every event dict of the growing trace and
-free nothing.
+takes the detail's values as arguments, appends them as one record, the
+tuple (kind, frame, slot, phase, station, the values in _SHAPES order),
+and fills the kind's printf template when they pass their types' tests.
+The trace keeps that record, not a dict: Trace builds an event's dict
+when it is read (see _event), and the auditor reads the records by
+position. The one other way to make a line is _line, _CANONICAL.encode
+of the event: it writes the route events (Simulation._emit, whose trace
+items are dicts), an event with a value off its type, and a trace that
+keeps no text. At the end of each frame run() folds the frame's lines
+into the UTF-8 bytes Simulation.trace keeps (a Trace, a list that also
+holds its canonical text), so the digest run() takes only hashes them,
+and serialize_trace, trace_digest and `wmsnsim run --trace` reuse them
+for as long as no event has been appended. run() pauses the cyclic
+collector over its frames: a run makes no reference cycles, so each
+pass would only re-walk the growing trace's records and free nothing.
 """
 
 from __future__ import annotations
@@ -400,37 +403,40 @@ _INF = math.inf
 
 def _emitter(event, shape):
     """Simulation._emit_<event>(frame, slot, phase, station, *, <the
-    kind's keys>): it appends the event, with its detail in key order,
-    and the event's line. The line fills the kind's printf template when
-    every value passes its type's test in _TYPES, the envelope's too (int
-    frame, slot and station, a str phase in _QUOTABLE); any other comes
-    from _line. An empty list leaves its key out of the detail and takes
-    the kind's second template, which has no such key.
+    kind's keys>): it appends the event's record, (event, frame, slot,
+    phase, station, the values in key order), and the event's line. The
+    line fills the kind's printf template when every value passes its
+    type's test in _TYPES, the envelope's too (int frame, slot and
+    station, a str phase in _QUOTABLE); any other comes from _line of the
+    record's event. An empty list stays in the record, but it leaves its
+    key out of the event and takes the kind's second template, which has
+    no such key.
 
     The method is compiled from _SHAPES, never from input, so that each
     value arrives as an argument and each check is one inline test: a
     generic check that mapped type() over a detail's values took about
     as long as the template saved."""
-    keys = [k for k, _ in shape]
+    keys = "".join(f", {k}" for k, _ in shape)
     name = f"_emit_{event}"
-    src = f"def {name}(self, frame, slot, phase, station{', *' if keys else ''}"
-    src += "".join(f", {k}" for k in keys) + "):\n"
+    src = f"def {name}(self, frame, slot, phase, station{', *' if keys else ''}{keys}):\n"
+    src += f"    r = ({event!r}, frame, slot, phase, station{keys})\n"
+    src += "    self.trace.append(r)\n"
     for k, t in shape:
         if t == list[int]:
             src += f"    if {k} == []:\n"
             src += _emit_body(event, [kt for kt in shape if kt[0] != k], " " * 8)
             src += "        return\n"
     src += _emit_body(event, shape, " " * 4)
-    # compiled in this module's globals: _line, _QUOTABLE and _INF are
-    # looked up here when the method runs
+    # compiled in this module's globals: _line, _event, _QUOTABLE and _INF
+    # are looked up here when the method runs
     scope = {}
     exec(src, globals(), scope)
     return scope[name]
 
 
 def _emit_body(event, shape, indent):
-    """The statements of an emitter that append an event with this detail
-    shape and its line."""
+    """The statement of an emitter that appends the line of its record r,
+    whose event has this detail shape."""
     pairs = [*shape, ("frame", int), ("phase", str), ("slot", int), ("station", int)]
     test = " and ".join(_TYPES[t][0].format(v=k) for k, t in pairs)
     args = ", ".join(_TYPES[t][2].format(v=k) for k, t in pairs)
@@ -440,17 +446,42 @@ def _emit_body(event, shape, indent):
     template = (
         f'{{"detail":{{{",".join(fields[:n])}}},"event":"{event}",{",".join(fields[n:])}}}\n'
     )
-    detail = ", ".join(f"{k!r}: {k}" for k, _ in shape)
-    return (
-        f"{indent}e = {{'frame': frame, 'slot': slot, 'phase': phase, 'station': station,"
-        f" 'event': {event!r}, 'detail': {{{detail}}}}}\n"
-        f"{indent}self.trace.append(e)\n"
-        f"{indent}self._lines.append({template!r} % ({args},) if {test} else _line(e))\n"
-    )
+    line = f"{template!r} % ({args},) if {test} else _line(_event(r))"
+    return f"{indent}self._lines.append({line})\n"
+
+
+# each kind's detail keys in record order, and its list-typed key, which
+# its event leaves out when the list is empty
+_KEYS = {kind: tuple(k for k, _ in shape) for kind, shape in _SHAPES.items()}
+_OPTIONAL = {kind: k for kind, shape in _SHAPES.items() for k, t in shape if t == list[int]}
+
+
+def _event(item):
+    """The event dict of a trace item: a record as the dict of frame,
+    slot, phase, station, event and detail it stands for, built anew on
+    each call around the record's own values; a dict as it is."""
+    if type(item) is not tuple:
+        return item
+    kind = item[0]
+    detail = dict(zip(_KEYS[kind], item[5:]))
+    k = _OPTIONAL.get(kind)
+    if k is not None and detail[k] == []:
+        del detail[k]
+    return {
+        "frame": item[1], "slot": item[2], "phase": item[3], "station": item[4],
+        "event": kind, "detail": detail,
+    }
 
 
 class Trace(list):
     """A run's events, plus the canonical text of its first `sealed` ones.
+
+    Its items are records, the tuples the compiled emitters append (see
+    _emitter), and dicts, the events of Simulation._emit and any a caller
+    appends. It reads as a list of event dicts: indexing, slicing,
+    iteration, == and pickling give each record's event as _event builds
+    it. list.__iter__(trace), and list methods such as index, count and
+    in, see the items themselves.
 
     Simulation only appends to its trace and never changes an event after
     emitting it, so the text stays valid while len(trace) == sealed.
@@ -462,6 +493,20 @@ class Trace(list):
 
     sealed = 0
     _text: bytearray | str | None = None
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [_event(item) for item in list.__getitem__(self, i)]
+        return _event(list.__getitem__(self, i))
+
+    def __iter__(self):
+        return map(_event, list.__iter__(self))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, list) else NotImplemented
+
+    def __ne__(self, other):
+        return list(self) != list(other) if isinstance(other, list) else NotImplemented
 
 
 def _held(events) -> bytearray | str | None:

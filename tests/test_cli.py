@@ -4,12 +4,17 @@ import csv
 import hashlib
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 import helpers
 from wmsnsim import Simulation, discover, engine, from_dict, trace_digest
 from wmsnsim.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -70,6 +75,19 @@ def test_run_exit_code_reflects_headline_audits(tmp_path):
     path = write_scenario(tmp_path, helpers.hidden_terminal())
     rc = main(["run", "--scenario", path, "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_run_prints_the_total_energy_of_a_bench_workload(tmp_path, capsys):
+    # the stations' energies are added left to right (geometry.float_sum):
+    # sum() compensates from Python 3.12 on, so its last digits, and the
+    # printed total, would depend on the interpreter
+    path = write_scenario(tmp_path, WORKLOADS["grid10-route"]())
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("stations: ")] == [
+        "stations: 101 total_energy=42725.65 control_collisions=8 data_collisions=0 "
+        "wasted_slots=1005"
+    ]
 
 
 def test_run_merges_fault_file(tmp_path, capsys):

@@ -1358,6 +1358,48 @@ def test_a_trace_keeps_its_text_only_while_no_event_is_added():
     assert serialize_trace(pickle.loads(pickle.dumps(trace))) == canonical(trace)
 
 
+def test_a_trace_holds_records_and_reads_as_event_dicts():
+    report, trace = run(helpers.churn())
+    items = list(list.__iter__(trace))
+    kinds = [e["event"] for e in trace]
+    assert "route" in kinds
+    assert [type(item) for item in items] == [dict if k == "route" else tuple for k in kinds]
+    events = [json.loads(line) for line in serialize_trace(trace).splitlines()]
+    assert trace[-1] == events[-1] and trace[2:5] == events[2:5]
+    assert list(trace) == events and trace == list(trace) and trace == events
+    assert not trace != events and trace != events[1:]
+    copy = pickle.loads(pickle.dumps(trace))
+    assert isinstance(copy, list) and copy == events
+    # an empty list stays in its record, and its key is left out of the
+    # event the record reads as
+    empty = [i for i, item in enumerate(items) if type(item) is tuple and [] in item[5:]]
+    assert empty
+    for i in empty:
+        assert items[i][0] in ("control_tx", "control_fault_drop")
+        assert "slots" not in trace[i]["detail"] and trace[i] == events[i]
+
+
+@pytest.mark.parametrize("data", LINE_CORPUS + [line_mixed(60)])
+def test_the_auditor_reads_records_and_event_dicts_alike(data):
+    # it reads a record's fields by position, from a key table of its own,
+    # and turns an event dict into a record through that same table: a
+    # table that drifts from engine._SHAPES gives other verdicts here
+    sc = from_dict(data)
+    sim = Simulation(sc, seed=0)
+    _, trace = sim.run()
+    settings = dict(
+        slotting_enabled=sc.mac.slotting_enabled,
+        interference_multiplier=sc.channel.interference_multiplier,
+    )
+    from_records = run_audits(trace, sim.net, **settings)
+    from_dicts = run_audits([dict(e) for e in trace], sim.net, **settings)
+    assert [repr(v) for v in from_records.verdicts()] == [
+        repr(v) for v in from_dicts.verdicts()
+    ]
+    # the replay read handshakes and control messages, not an empty stream
+    assert from_records.table_agreement.checked and from_records.rp_slot_discipline.checked
+
+
 def test_run_takes_its_digest_through_the_module_trace_digest(monkeypatch):
     # the benchmark's engine.trace_digest span and its tampered-digest
     # check wrap this module attribute
