@@ -264,7 +264,8 @@ def test_readme_scenario_sections_round_trip_unchanged():
 
 # (dotted key, value, {(code, path)}): one bad value per config key, the
 # nested backoff section, a null hop budget, each section as a non-object,
-# and integers too large to play or to hold exactly in a float.
+# and integers too large to play or to hold exactly in a float. A list index
+# in the key names a record.
 BAD_CONFIG_CASES = [
     ("grid.cell_width", "wide", {("E_BAD_VALUE", "grid.cell_width")}),
     ("grid.cell_width", 0, {("E_BAD_VALUE", "grid")}),
@@ -328,6 +329,90 @@ BAD_CONFIG_CASES = [
 ] + [(section, [1], {("E_SCHEMA", section)}) for section in CONFIG_SECTIONS]
 
 
+class _Missing:
+    def __repr__(self):
+        return "<missing>"
+
+
+# A case value that deletes its key instead of setting it.
+MISSING = _Missing()
+
+# One bad value and one missing key for every key of a station, its sector,
+# a flow and a fault, plus non-object records and lists. Station 1 is a
+# cluster head on no flow's path, station 2 the base station.
+BAD_CONFIG_CASES += [
+    ("stations.1.id", "two", {("E_BAD_VALUE", "stations[1].id")}),
+    ("stations.1.id", MISSING, {("E_SCHEMA", "stations[1].id")}),
+    ("stations.1.kind", 7, {("E_BAD_VALUE", "stations[1].kind")}),
+    ("stations.1.kind", MISSING, {("E_SCHEMA", "stations[1].kind")}),
+    ("stations.1.position", "here", {("E_SCHEMA", "stations[1].position")}),
+    ("stations.1.position", MISSING, {("E_SCHEMA", "stations[1].position")}),
+    ("stations.1.rf_range", "far", {("E_BAD_VALUE", "stations[1].rf_range")}),
+    ("stations.1.rf_range", MISSING, set()),
+    ("stations.1.sector", {"theta": 0.0, "alpha": 7.0, "range": 150.0},
+     {("E_BAD_VALUE", "stations[1].sector"), ("E_MISSING_SECTOR", "stations[1]")}),
+    ("stations.1.sector", MISSING, {("E_MISSING_SECTOR", "stations[1]")}),
+    ("stations.1.sector", None, {
+        ("E_SCHEMA", "stations[1].sector"), ("E_SCHEMA", "stations[1].sector.theta"),
+        ("E_SCHEMA", "stations[1].sector.alpha"), ("E_SCHEMA", "stations[1].sector.range"),
+        ("E_MISSING_SECTOR", "stations[1]"),
+    }),
+    ("stations.2.sector", None, {("E_SECTOR_FIELDS", "stations[2].sector")}),
+    ("stations.1.bogus", 1, {("E_UNKNOWN_KEY", "stations[1].bogus")}),
+    ("stations.1", 5, {("E_SCHEMA", "stations[1]")}),
+    ("stations", {}, {
+        ("E_SCHEMA", "$.stations"), ("E_UNKNOWN_STATION", "flows[0].src"),
+        ("E_UNKNOWN_STATION", "flows[0].dst"),
+    }),
+    ("stations.1.sector.theta", "up",
+     {("E_BAD_VALUE", "stations[1].sector.theta"), ("E_MISSING_SECTOR", "stations[1]")}),
+    ("stations.1.sector.theta", MISSING,
+     {("E_SCHEMA", "stations[1].sector.theta"), ("E_MISSING_SECTOR", "stations[1]")}),
+    ("stations.1.sector.alpha", None,
+     {("E_BAD_VALUE", "stations[1].sector.alpha"), ("E_MISSING_SECTOR", "stations[1]")}),
+    ("stations.1.sector.alpha", MISSING,
+     {("E_SCHEMA", "stations[1].sector.alpha"), ("E_MISSING_SECTOR", "stations[1]")}),
+    ("stations.1.sector.range", [150],
+     {("E_BAD_VALUE", "stations[1].sector.range"), ("E_MISSING_SECTOR", "stations[1]")}),
+    ("stations.1.sector.range", MISSING,
+     {("E_SCHEMA", "stations[1].sector.range"), ("E_MISSING_SECTOR", "stations[1]")}),
+    ("stations.1.sector.bogus", 1, {("E_UNKNOWN_KEY", "stations[1].sector.bogus")}),
+    ("flows.0.id", "one", {("E_BAD_VALUE", "flows[0].id")}),
+    ("flows.0.id", MISSING, {("E_SCHEMA", "flows[0].id")}),
+    ("flows.0.src", 1.5, {("E_BAD_VALUE", "flows[0].src")}),
+    ("flows.0.src", MISSING, {("E_SCHEMA", "flows[0].src")}),
+    ("flows.0.dst", "sink", {("E_BAD_VALUE", "flows[0].dst")}),
+    ("flows.0.dst", MISSING, {("E_SCHEMA", "flows[0].dst")}),
+    ("flows.0.class", 3, {("E_BAD_VALUE", "flows[0].class")}),
+    ("flows.0.class", MISSING, {("E_SCHEMA", "flows[0].class")}),
+    ("flows.0.mode", True, {("E_BAD_VALUE", "flows[0].mode")}),
+    ("flows.0.mode", MISSING, set()),
+    ("flows.0.rate_bps", "fast", {("E_BAD_VALUE", "flows[0].rate_bps")}),
+    ("flows.0.rate_bps", MISSING, {("E_SCHEMA", "flows[0].rate_bps")}),
+    ("flows.0.packet_size_bits", 0, {("E_BAD_VALUE", "flows[0]")}),
+    ("flows.0.packet_size_bits", MISSING, set()),
+    ("flows.0.burst_length", "eight", {("E_BAD_VALUE", "flows[0].burst_length")}),
+    ("flows.0.burst_length", MISSING, set()),
+    ("flows.0.start_frame", -1, {("E_BAD_VALUE", "flows[0]")}),
+    ("flows.0.start_frame", MISSING, set()),
+    ("flows.0.stop_frame", 0, {("E_BAD_VALUE", "flows[0]")}),
+    ("flows.0.stop_frame", MISSING, set()),
+    ("flows.0.bogus", 1, {("E_UNKNOWN_KEY", "flows[0].bogus")}),
+    ("flows.0", [1], {("E_SCHEMA", "flows[0]")}),
+    ("flows", "all", {("E_SCHEMA", "$.flows")}),
+    ("faults", [{"kind": 5, "frame": 0, "sender": 1}], {("E_BAD_VALUE", "faults[0].kind")}),
+    ("faults", [{"frame": 0, "sender": 1}], {("E_SCHEMA", "faults[0].kind")}),
+    ("faults", [{"kind": "CR", "frame": "first", "sender": 1}],
+     {("E_BAD_VALUE", "faults[0].frame")}),
+    ("faults", [{"kind": "CR", "sender": 1}], {("E_SCHEMA", "faults[0].frame")}),
+    ("faults", [{"kind": "CR", "frame": 0, "sender": None}],
+     {("E_BAD_VALUE", "faults[0].sender")}),
+    ("faults", [{"kind": "CR", "frame": 0}], {("E_SCHEMA", "faults[0].sender")}),
+    ("faults", [5], {("E_SCHEMA", "faults[0]")}),
+    ("faults", "all", {("E_SCHEMA", "$.faults")}),
+]
+
+
 def case_id(key, value):
     text = repr(value)
     return f"{key}={text}" if len(text) <= 40 else f"{key}={len(text)}-digit"
@@ -343,7 +428,12 @@ def test_bad_config_value_flags_its_code_and_path(key, value, want):
     target = d
     for part in parents:
         target = target[int(part)] if isinstance(target, list) else target.setdefault(part, {})
-    target[last] = value
+    if isinstance(target, list):
+        last = int(last)
+    if value is MISSING:
+        target.pop(last, None)
+    else:
+        target[last] = value
     try:
         from_dict(d)
         got = set()
