@@ -88,6 +88,19 @@ def _load_scenario(args) -> Scenario | None:
     return sc
 
 
+def _flow_metrics(fs) -> dict:
+    """A flow's metric columns as both metrics.csv and sweep.csv write them."""
+    return {
+        "class": fs.service,
+        "generated": fs.generated,
+        "delivered": fs.delivered,
+        "delivery_ratio": f"{fs.delivery_ratio:.6f}",
+        "mean_delay_ms": f"{fs.mean_delay_ms:.6f}",
+        "deadline_miss_rate": f"{fs.deadline_miss_rate:.6f}",
+        "loss_rate": f"{fs.loss_rate:.6f}",
+    }
+
+
 def _write_metrics(path: str, report: SimReport) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS)
@@ -98,14 +111,8 @@ def _write_metrics(path: str, report: SimReport) -> None:
                 {
                     "row_type": "flow",
                     "flow_id": fid,
-                    "class": fs.service,
-                    "generated": fs.generated,
-                    "delivered": fs.delivered,
-                    "delivery_ratio": f"{fs.delivery_ratio:.6f}",
-                    "mean_delay_ms": f"{fs.mean_delay_ms:.6f}",
+                    **_flow_metrics(fs),
                     "max_delay_ms": f"{fs.max_delay_ms:.6f}",
-                    "deadline_miss_rate": f"{fs.deadline_miss_rate:.6f}",
-                    "loss_rate": f"{fs.loss_rate:.6f}",
                 }
             )
         for sid in sorted(report.stations):
@@ -224,18 +231,11 @@ def _cmd_sweep(args) -> int:
         if not audit.headline_passed:
             status = 2
         for fid in sorted(report.flows):
-            fs = report.flows[fid]
             rows.append(
                 {
                     "seed": seed,
                     "flow_id": fid,
-                    "class": fs.service,
-                    "generated": fs.generated,
-                    "delivered": fs.delivered,
-                    "delivery_ratio": f"{fs.delivery_ratio:.6f}",
-                    "mean_delay_ms": f"{fs.mean_delay_ms:.6f}",
-                    "deadline_miss_rate": f"{fs.deadline_miss_rate:.6f}",
-                    "loss_rate": f"{fs.loss_rate:.6f}",
+                    **_flow_metrics(report.flows[fid]),
                     "control_collisions": report.control_collisions,
                     "data_collisions": report.data_collisions,
                     "wasted_slots": report.wasted_slots,

@@ -133,14 +133,13 @@ def choose_grant(common_mask: int, kind: ReservationKind, requested: int) -> tup
 
 @dataclass(frozen=True)
 class ControlMessage:
-    """One RP control message; dst None means broadcast. `peer` names the
-    reservation counterpart on a broadcast (tx = src, rx = peer). An accept
-    and its broadcast carry the grant: the entries every hearer claims."""
+    """One RP control message; dst None means broadcast. An accept and its
+    broadcast carry the grant: the entries every hearer claims, each naming
+    its tx and rx."""
 
     kind: MsgKind
     src: int
     dst: int | None
-    peer: int | None = None
     free_mask: int = 0
     buffered_count: int = 0
     slots: tuple[int, ...] = ()
@@ -298,7 +297,6 @@ class StationMac:
             kind=MsgKind.RESERVATION_BROADCAST,
             src=self.owner,
             dst=None,
-            peer=ca.src,
             slots=ca.slots,
             entry_kind=ca.entry_kind,
             grant=ca.grant,
@@ -313,17 +311,14 @@ class StationMac:
                 raise ValueError(f"station {self.owner} holds no reservation at {s}")
             if e.kind is ReservationKind.DATAGRAM:
                 raise DatagramCancelError("datagram reservations expire, not cancel")
-        return ControlMessage(
-            kind=MsgKind.CANCEL, src=self.owner, dst=peer, peer=peer, slots=slots
-        )
+        return ControlMessage(kind=MsgKind.CANCEL, src=self.owner, dst=peer, slots=slots)
 
     def answer_cancel(self, cc: ControlMessage) -> ControlMessage:
         """Peer side: the acknowledgment; the peer drops the entries with
         apply_cancel, as every hearer of the cancel does. Dropping is
         idempotent, so a retried cancel after a lost ack is harmless."""
         return ControlMessage(
-            kind=MsgKind.CANCEL_ACK, src=self.owner, dst=cc.src,
-            peer=cc.src, slots=cc.slots,
+            kind=MsgKind.CANCEL_ACK, src=self.owner, dst=cc.src, slots=cc.slots
         )
 
     def apply_cancel(

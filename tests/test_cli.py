@@ -195,6 +195,26 @@ def test_sweep_writes_per_seed_and_summary(tmp_path, capsys):
         assert int(r["wasted_slots"]) == report.wasted_slots
 
 
+def test_sweep_flow_values_equal_each_seeds_metrics(tmp_path, capsys):
+    path = write_scenario(tmp_path, helpers.mixed_traffic(horizon=40))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", path, "--seeds", "2", "--out", str(out)]) == 0
+    summary = read_csv(out / "sweep.csv")
+    assert len(summary) == 6  # three flows, two seeds
+    for row in summary:
+        metrics = {
+            m["flow_id"]: m for m in read_csv(out / f"seed-{row['seed']}" / "metrics.csv")
+            if m["row_type"] == "flow"
+        }[row["flow_id"]]
+        shared = row.keys() & metrics.keys()
+        assert shared >= {
+            "class", "generated", "delivered", "delivery_ratio", "mean_delay_ms",
+            "deadline_miss_rate", "loss_rate",
+        }
+        for key in shared:
+            assert row[key] == metrics[key], (row["seed"], row["flow_id"], key)
+
+
 def test_sweep_exit_code_reflects_worst_seed(tmp_path, capsys):
     # hidden-terminal collisions fail a headline audit on every seed
     path = write_scenario(tmp_path, helpers.hidden_terminal())

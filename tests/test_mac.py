@@ -173,7 +173,7 @@ def test_full_establishment_handshake():
     assert cr.kind is MsgKind.CONNECT_REQUEST and cr.dst == 2
     assert ca.kind is MsgKind.CONNECT_ACCEPT and ca.slots == (0,)
     assert srb.kind is MsgKind.RESERVATION_BROADCAST and srb.dst is None
-    assert srb.peer == 2 and srb.slots == (0,)
+    assert [e.rx for e in srb.grant] == [2] and srb.slots == (0,)
     # all three tables agree on slot 0
     for mac in (a, b, w):
         assert mac.entries() == [entry(0, 1, 2)]

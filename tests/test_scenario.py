@@ -3,12 +3,13 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 import helpers
-from wmsnsim import Scenario, ScenarioError, from_dict, parse_scenario, to_dict
+from wmsnsim import Scenario, ScenarioError, from_dict, parse_scenario, scenario, to_dict
 from wmsnsim.geometry import GridSpec, Point, grid_of, rp_slot_of
 
 
@@ -206,6 +207,10 @@ def test_all_issues_collected_in_one_pass():
 
 
 CONFIG_SECTIONS = ("grid", "frame", "routing", "mac", "energy", "channel")
+RECORD_TABLES = {
+    "station": scenario._STATION, "sector": scenario._SECTOR,
+    "flow": scenario._FLOW, "fault": scenario._FAULT,
+}
 
 # Every config key away from its default; rp_modulus stays within rp_slots.
 NON_DEFAULT_CONFIG = {
@@ -260,6 +265,48 @@ def test_readme_scenario_sections_round_trip_unchanged():
     out = to_dict(from_dict(data))
     for section in CONFIG_SECTIONS:
         assert json.dumps(out[section]) == json.dumps(data[section]), section
+
+
+def test_readme_lists_each_records_required_keys_and_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and len(cells) == 3 and cells[0] in RECORD_TABLES:
+            rows[cells[0]] = cells[1:]
+    assert list(rows) == list(RECORD_TABLES)
+
+    # records of only their required keys, as to_dict writes them back
+    written = to_dict(from_dict(helpers.base(
+        [
+            {"id": 1, "kind": "cluster_head", "position": [50, 50],
+             "sector": {"theta": 0.0, "alpha": 1.0, "range": 150.0}},
+            {"id": 9, "kind": "base_station", "position": [150, 50]},
+        ],
+        [{"id": 1, "src": 1, "dst": 9, "class": "CBR", "rate_bps": 64000}],
+        faults=[{"kind": "SRB", "frame": 0, "sender": 1}],
+    )))
+    records = {
+        "station": written["stations"][1],
+        "sector": written["stations"][0]["sector"],
+        "flow": written["flows"][0],
+        "fault": written["faults"][0],
+    }
+    for name, table in RECORD_TABLES.items():
+        required, others = rows[name]
+        assert re.findall(r"`(\w+)`", required) == [
+            k for k, (_, default) in table.items() if default is scenario.REQUIRED
+        ], name
+        listed = re.findall(r"`(\w+)`(?:: `([^`]*)`)?", others)
+        assert [k for k, _ in listed] == [
+            k for k, (_, default) in table.items() if default is not scenario.REQUIRED
+        ], name
+        for key, value in listed:
+            if value:
+                assert records[name][key] == json.loads(value), (name, key)
+            else:
+                assert key not in records[name], (name, key)
 
 
 # (dotted key, value, {(code, path)}): one bad value per config key, the
@@ -410,6 +457,23 @@ BAD_CONFIG_CASES += [
     ("faults", [{"kind": "CR", "frame": 0}], {("E_SCHEMA", "faults[0].sender")}),
     ("faults", [5], {("E_SCHEMA", "faults[0]")}),
     ("faults", "all", {("E_SCHEMA", "$.faults")}),
+    # an empty record reports each missing required key; it was once dropped
+    # without an issue
+    ("stations.1", {}, {
+        ("E_SCHEMA", "stations[1].id"), ("E_SCHEMA", "stations[1].kind"),
+        ("E_SCHEMA", "stations[1].position"),
+    }),
+    ("flows.0", {}, {
+        ("E_SCHEMA", "flows[0].id"), ("E_SCHEMA", "flows[0].src"), ("E_SCHEMA", "flows[0].dst"),
+        ("E_SCHEMA", "flows[0].class"), ("E_SCHEMA", "flows[0].rate_bps"),
+    }),
+    ("faults", [{}], {
+        ("E_SCHEMA", "faults[0].kind"), ("E_SCHEMA", "faults[0].frame"),
+        ("E_SCHEMA", "faults[0].sender"),
+    }),
+    # a sector that is not an object is reported once, as a section is
+    ("stations.1.sector", "cone",
+     {("E_SCHEMA", "stations[1].sector"), ("E_MISSING_SECTOR", "stations[1]")}),
 ]
 
 
