@@ -10,12 +10,18 @@ entries happens in sorted order.
 
 A run's work follows the protocol, not slots x stations. An RP slot
 asks only the cluster heads that own it whether to contend, and ends
-there when none does. A CF slot plays its plan: the senders with their
-addressees and hops, and the listeners, built from the reservation
-tables and the slots each hop holds only after a table changed. The run
-keeps every CF channel outcome by what decides it, the senders that
-sent with their addressees and the slot's listeners, so a channel is
-resolved once per such set in a run, however often the tables change.
+there when none does. Of those it skips each one that can have nothing
+to signal: all its hops hold slots, and none of its real-time flows has
+reached its stop frame. A station counts its hops without slots in the
+one step that changes a hop's slots, _StationState.set_slots. A CF slot
+plays its plan: the senders with their addressees and hops, and the
+listeners, built from the reservation tables and the slots each hop
+holds only after a table changed. The run keeps every CF channel
+outcome by what decides it, the senders that sent with their addressees
+and the slot's listeners, and every RP channel outcome by its senders,
+since every cluster head listens to each control channel. So a channel
+is resolved, and its Transmissions built, once per such set in a run,
+however often the tables change.
 A CF slot's start is the frame's first CF slot start, taken once per
 frame, plus a per-slot offset. A slot scans queues for missed deadlines
 only once the earliest queued deadline can have passed, and polls the
@@ -274,6 +280,17 @@ class _StationState:
         self.hops: dict[int, _Hop] = {}  # flow id -> the hop we send, ascending
         # the polled optical uplink, where some flow leaves the mesh here
         self.uplink: PacketQueue | None = None
+        # how many of our hops hold no slots, kept by set_slots, and the
+        # first frame at which one of our real-time flows is over: before
+        # it, a station whose hops all hold slots has nothing to signal
+        self.slotless = 0
+        self.rt_stop = math.inf
+
+    def set_slots(self, hop: _Hop, slots: tuple[int, ...] | None) -> None:
+        """Give one of our hops its slots, or None: every change of a
+        hop's slots goes through here."""
+        self.slotless += (slots is None) - (hop.slots is None)
+        hop.slots = slots
 
 
 # -- results ----------------------------------------------------------------
@@ -620,6 +637,11 @@ class Simulation:
         for sid in self.ch_ids:
             st = self.sts[sid]
             self.queue_order += [(sid, hop.queue) for hop in st.hops.values()]
+            st.slotless = len(st.hops)  # no hop holds slots yet
+            st.rt_stop = min(
+                [self._flow_stop(h.flow) for h in st.hops.values() if h.flow.real_time],
+                default=math.inf,
+            )
             if st.uplink is not None:
                 self.queue_order.append((sid, st.uplink))
         self._next_due = math.inf
@@ -630,9 +652,13 @@ class Simulation:
         # CF channel outcomes by ((station, addressee) of each sender that
         # sent, listeners): what decides one, so they outlive any plan
         self._outcomes: dict[tuple, tuple[list, list]] = {}
+        # RP channel outcomes by the senders, in order: every cluster head
+        # listens to every control channel, so nothing else decides one
+        self._control_outcomes: dict[tuple, tuple[list, list]] = {}
         # each CF slot's start, as an offset from the first one's: run()
         # takes that once per frame, and the sum is the layout's own
-        self._cf_offset = [s * self.layout.cf_slot_len_ms for s in range(self.layout.cf_slots)]
+        self._cf_len = self.layout.cf_slot_len_ms
+        self._cf_offset = [s * self._cf_len for s in range(self.layout.cf_slots)]
         self._cfp_start = 0.0
         self._datagram_tables: set[int] = set()  # stations holding a datagram entry
         self._rp_busy = dict.fromkeys(self.ch_ids, 0)  # RP slots sent or received in
@@ -829,24 +855,41 @@ class Simulation:
             )
             return
         self._emit_control_tx(frame, r, "RP", sid, kind=kind, slots=list(msg.slots), to=msg.dst)
-        channel.append(
-            Transmission(
-                sender=sid, payload=msg,
-                comm=self.rf_comm[sid], interf=self.rf_intf[sid],
-            )
-        )
+        channel.append((sid, msg))
 
-    def _resolve_control(self, frame, r, channel):
-        delivered, collisions = resolve_slot(channel, self.ch_set)
-        for rho in sorted(collisions):
+    def _resolve_control(self, frame, r, channel) -> list[tuple[int, ControlMessage]]:
+        """The messages that the control channel [(sender, message)]
+        delivers, as [(receiver, message)] in receiver order, with its
+        collisions emitted. Every cluster head listens, so the outcome
+        depends only on the senders: it is kept by their tuple, and a
+        Transmission is built only for a tuple not resolved yet."""
+        key = tuple([sid for sid, _ in channel])
+        outcome = self._control_outcomes.get(key)
+        if outcome is None:
+            comm, intf = self.rf_comm, self.rf_intf
+            sent = [
+                Transmission(sender=sid, payload=i, comm=comm[sid], interf=intf[sid])
+                for i, sid in enumerate(key)
+            ]
+            delivered, collisions = resolve_slot(sent, self.ch_set)
+            outcome = self._control_outcomes[key] = (
+                [(rho, t.payload) for rho, t in delivered.items()], list(collisions.items()),
+            )
+        delivered, collisions = outcome
+        for rho, senders in collisions:
             self.control_collisions += 1
-            self._emit_control_collision(frame, r, "RP", rho, senders=collisions[rho])
-        return delivered
+            self._emit_control_collision(frame, r, "RP", rho, senders=list(senders))
+        return [(rho, channel[i][1]) for rho, i in delivered]
 
     def _rp_slot(self, frame: int, r: int) -> None:
-        # 1) owners of this schedule slot decide whether to contend
+        # 1) owners of this schedule slot decide whether to contend; one
+        # whose hops all hold slots while its real-time flows all run has
+        # nothing to signal, so it is not asked
         contenders = []
         for sid in self.rp_owners[r]:
+            st = self.sts[sid]
+            if st.slotless == 0 and frame < st.rt_stop:
+                continue
             act = self._pick_action(sid, frame)
             if act is not None:
                 contenders.append((sid, act))
@@ -885,7 +928,7 @@ class Simulation:
 
         # requests and cancels make the first channel, each channel's
         # replies the next
-        channel: list[Transmission] = []
+        channel: list[tuple[int, ControlMessage]] = []
         for sid, (hop, count) in proceed:
             mac = self.sts[sid].mac
             if hop.slots is None:
@@ -901,10 +944,10 @@ class Simulation:
             self._send_control(channel, slot_tx, frame, r, sid, msg)
         while channel:
             delivered = self._resolve_control(frame, r, channel)
-            slot_rx.update(delivered)
             channel = []
-            for rho in sorted(delivered):
-                reply = self._hear(frame, r, rho, delivered[rho].payload, inflight, handshakes)
+            for rho, msg in delivered:
+                slot_rx.add(rho)
+                reply = self._hear(frame, r, rho, msg, inflight, handshakes)
                 if reply is not None:
                     self._send_control(channel, slot_tx, frame, r, rho, reply)
 
@@ -958,13 +1001,13 @@ class Simulation:
         hop = inflight.pop(rho)
         hop.backoff = None
         if kind is MsgKind.CANCEL_ACK:
-            hop.slots = None
+            st.set_slots(hop, None)
             self._emit_cancel_complete(
                 frame, r, "RP", rho, flow=hop.flow.id, peer=msg.src, slots=list(msg.slots),
             )
             return None
         self._claim(frame, r, rho, msg.grant)
-        hop.slots = msg.slots
+        st.set_slots(hop, msg.slots)
         hop.gap = 0
         handshakes.append((rho, msg.src, msg.slots, msg.entry_kind, hop.flow.id))
         return st.mac.broadcast_grant(msg)
@@ -1049,7 +1092,7 @@ class Simulation:
         # the frame's first CF slot start, which run() sets, plus this
         # slot's offset: the layout's own sum, bit for bit
         slot_start = self._cfp_start + self._cf_offset[s]
-        slot_end = slot_start + self.layout.cf_slot_len_ms
+        slot_end = slot_start + self._cf_len
 
         # deadlines are checked against the slot's end: a packet that
         # cannot complete its transmission in time is dropped, never sent.
@@ -1063,7 +1106,9 @@ class Simulation:
                 due = min(due, q.next_deadline)
             self._next_due = due
 
-        senders, listeners = self._schedule()[s]
+        plan = self._cf_plan
+        senders, listeners = (self._schedule() if plan is None else plan)[s]
+        counts = self.meter.counts
         sent = []
         for sid, to, hop in senders:
             q = hop.queue
@@ -1073,11 +1118,12 @@ class Simulation:
                 self._emit_wasted_slot(frame, s, "CFP", sid, flow=hop.flow.id)
                 continue
             q.pop()
+            counts[sid]["tx"] += 1
             sent.append((sid, hop, pkt, to))
             self._emit_data_tx(frame, s, "CFP", sid, flow=pkt.flow_id, seq=pkt.seq, to=to)
 
         # the outcome is resolved once per senders and listeners in a run
-        slot_tx = tuple(x[0] for x in sent)
+        tx = [x[0] for x in sent]
         key = (tuple([(x[0], x[3]) for x in sent]), listeners)
         outcome = self._outcomes.get(key)
         if outcome is None:
@@ -1087,10 +1133,9 @@ class Simulation:
             self.data_collisions += 1
             self._emit_data_collision(frame, s, "CFP", rho, senders=list(colliding))
 
-        heard = set()
         for rho, i in delivered:
             sid, hop, pkt, _ = sent[i]
-            heard.add(rho)
+            counts[rho]["rx"] += 1
             self._emit_data_rx(frame, s, "CFP", rho, flow=pkt.flow_id, sender=sid, seq=pkt.seq)
             if rho == hop.flow.dst:
                 self._deliver(frame, s, "CFP", rho, pkt, slot_end)
@@ -1107,7 +1152,7 @@ class Simulation:
         # uplink: one buffered packet straight up per otherwise idle slot
         uplinked = False
         for sid in self.uplink_ids:
-            if sid in slot_tx or sid in listeners:
+            if sid in listeners or sid in tx:
                 continue
             st = self.sts[sid]
             pkt = st.uplink.head_ready(slot_start)
@@ -1115,18 +1160,19 @@ class Simulation:
                 continue
             st.uplink.pop()
             uplinked = True
-            self.meter.add(sid, "tx")
+            counts[sid]["tx"] += 1
             self._emit_uplink_tx(frame, s, "CFP", sid, flow=pkt.flow_id, seq=pkt.seq)
             self._deliver(frame, s, "CFP", self.sink, pkt, slot_end)
 
-        # stations with no part in the slot sleep; that is booked at the
-        # end of the run
-        for sid in slot_tx:
-            self.meter.add(sid, "tx")
-        for sid in listeners:
-            self.meter.add(sid, "rx" if sid in heard else "idle")
+        # a listener that heard nothing idled; stations with no part in
+        # the slot sleep, which is booked at the end of the run
+        if len(delivered) < len(listeners):
+            heard = {rho for rho, _ in delivered}
+            for sid in listeners:
+                if sid not in heard:
+                    counts[sid]["idle"] += 1
         if uplinked:
-            self.meter.add(self.sink, "rx")
+            counts[self.sink]["rx"] += 1
 
     # -- frame boundary ---------------------------------------------------------
 
@@ -1144,7 +1190,7 @@ class Simulation:
             # every slot of a datagram hop was a datagram entry just wiped
             for hop in st.hops.values():
                 if hop.kind is ReservationKind.DATAGRAM:
-                    hop.slots = None
+                    st.set_slots(hop, None)
         self._datagram_tables.clear()
 
         # session continuity: a real-time hop that once held slots but now

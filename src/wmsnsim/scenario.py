@@ -369,11 +369,6 @@ def _station(r: _Reader, kw: dict, path: str, stations: dict[int, Station]) -> S
                 f"{kind.value} stations carry no steerable laser sector",
             )
         else:
-            if value is None:
-                # flagged, and then read as a sector with no keys, so each of
-                # its keys is reported missing too
-                r.flag("E_SCHEMA", f"{path}.sector", "expected an object, got NoneType")
-                value = {}
             sector = walk(r, value, f"{path}.sector", _SECTOR)
             if sector is not None:
                 sector["apex"] = kw["position"]
@@ -439,8 +434,16 @@ def _fault(r: _Reader, kw: dict, path: str, stations: dict[int, Station]) -> Fau
     if kw["frame"] < 0:
         r.flag("E_BAD_VALUE", f"{path}.frame", "frame must be >= 0")
         ok = False
-    if kw["sender"] not in stations:
+    sender = stations.get(kw["sender"])
+    if sender is None:
         r.flag("E_UNKNOWN_STATION", f"{path}.sender", f"no station with id {kw['sender']}")
+        ok = False
+    elif sender.kind is not StationKind.CLUSTER_HEAD:
+        # only cluster heads send control messages, so the fault never fires
+        r.flag(
+            "E_FAULT_SENDER", f"{path}.sender",
+            f"a {sender.kind.value} sends no control messages to lose",
+        )
         ok = False
     return FaultSpec(**kw) if ok else None
 

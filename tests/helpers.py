@@ -196,6 +196,20 @@ def churn(horizon=80):
     return base(stations, flows, horizon=horizon, faults=faults)
 
 
+def signalling_order(horizon=60):
+    """Cluster head 1 forwards a datagram flow (the lowest id) and two
+    bonded CBR flows to peer 2, and owns one RP slot a frame. CBR flow 2
+    stops at frame 5, while the datagram flow keeps a burst queued until
+    about frame 29."""
+    stations = [ch(1, 50, 50), ch(2, 150, 50), bs(9, 250, 50)]
+    flows = [
+        flow(1, 1, 9, cls="ABR", mode="none", rate=1_000_000, burst_length=4, stop_frame=15),
+        flow(2, 1, 9, stop_frame=5),
+        flow(3, 1, 9),
+    ]
+    return base(stations, flows, horizon=horizon)
+
+
 def record_trace_lines(monkeypatch):
     """Records every event line the engine makes from now on, in order;
     returns the list it fills. Each kind in engine._SHAPES has its own

@@ -400,15 +400,7 @@ def test_one_station_signals_bonded_first_lower_flow_next_and_cancels_last():
     # frame it signals for one flow, and the order of its handshakes is
     # its ranking. Flow 2 stops at frame 5, but its datagram neighbour
     # keeps a burst queued until frame 29.
-    stations = [helpers.ch(1, 50, 50), helpers.ch(2, 150, 50), helpers.bs(9, 250, 50)]
-    flows = [
-        helpers.flow(
-            1, 1, 9, cls="ABR", mode="none", rate=1_000_000, burst_length=4, stop_frame=15,
-        ),
-        helpers.flow(2, 1, 9, stop_frame=5),
-        helpers.flow(3, 1, 9),
-    ]
-    report, trace, audit = audited(helpers.base(stations, flows, horizon=60))
+    report, trace, audit = audited(helpers.signalling_order())
     assert audit.all_passed
     done = [
         (e["frame"], e["event"], e["detail"]["flow"]) for e in trace
@@ -933,6 +925,112 @@ def test_cf_outcomes_outlive_table_changes(monkeypatch):
     assert report.trace_digest == (
         "67b6746460916ebe6c3837a2945405b2becc10be441f84e02a2901cb47c0b080"
     )
+
+
+class ControlChecked(Simulation):
+    """Re-resolves every RP channel from fresh Transmissions and checks the
+    messages delivered and the collisions emitted, which the run takes
+    from the outcome it keeps for the channel's senders."""
+
+    channels_checked = 0
+    collisions_checked = 0
+
+    def _resolve_control(self, frame, r, channel):
+        first = len(self.trace)
+        got = super()._resolve_control(frame, r, channel)
+        fresh = [
+            Transmission(sender=sid, payload=msg, comm=self.rf_comm[sid], interf=self.rf_intf[sid])
+            for sid, msg in channel
+        ]
+        delivered, collisions = resolve_slot(fresh, self.ch_set)
+        assert [(rho, id(msg)) for rho, msg in got] == [
+            (rho, id(t.payload)) for rho, t in delivered.items()
+        ], (frame, r)
+        assert [(e["event"], e["station"], e["detail"]["senders"]) for e in self.trace[first:]] == [
+            ("control_collision", rho, senders) for rho, senders in collisions.items()
+        ], (frame, r)
+        self.channels_checked += 1
+        self.collisions_checked += len(collisions)
+        return got
+
+
+@pytest.mark.parametrize(
+    "data, digest, collisions, resolved",
+    [
+        (helpers.churn(), "67b6746460916ebe6c3837a2945405b2becc10be441f84e02a2901cb47c0b080",
+         2, (6, 700)),
+        (helpers.hidden_terminal(),
+         "175ac0dbbf8c912401be8623bd73bcdd30533955dcb360884b7aef468c0d8832", 2, (4, 8)),
+        (line_mixed(60), "dbd7d1b593357c4d85d3d14ef6ad77a21e34703b2291fe90f9c2f01e2c3af971",
+         0, (8, 1130)),
+        # D3: control collisions under compliant slotting
+        (WORKLOADS["grid10-route"](),
+         "cc857f4c4a7615f4f7959e1b3b83a38bf95de0bb8b0009c06324bea4b175c918", 8, (56, 261)),
+    ],
+    ids=["churn", "hidden_terminal", "line_mixed60", "grid10-route"],
+)
+def test_kept_control_outcomes_match_a_fresh_resolve_at_every_rp_channel(
+    data, digest, collisions, resolved
+):
+    # the digests were taken before RP outcomes were kept, when every
+    # channel was resolved anew
+    sim = ControlChecked(from_dict(data), seed=0)
+    report, _ = sim.run()
+    assert report.control_collisions == sim.collisions_checked == collisions
+    # (sender tuples resolved, channels played)
+    assert (len(sim._control_outcomes), sim.channels_checked) == resolved
+    assert report.trace_digest == digest
+
+
+class SkipChecked(Simulation):
+    """Before each RP slot, asks every owner of the slot what it would
+    signal; after it, checks that each owner the run did not ask would
+    have signalled nothing."""
+
+    asked = 0
+    skipped = 0
+
+    def _pick_action(self, sid, frame):
+        self._asked.add(sid)
+        return super()._pick_action(sid, frame)
+
+    def _rp_slot(self, frame, r):
+        would = {sid: Simulation._pick_action(self, sid, frame) for sid in self.rp_owners[r]}
+        self._asked = set()
+        super()._rp_slot(frame, r)
+        for sid, act in would.items():
+            if sid not in self._asked:
+                assert act is None, (frame, r, sid)
+                self.skipped += 1
+        self.asked += len(self._asked)
+
+
+@pytest.mark.parametrize(
+    "data, digest, asked",
+    [
+        (helpers.churn(), "67b6746460916ebe6c3837a2945405b2becc10be441f84e02a2901cb47c0b080",
+         282),
+        (line_mixed(60), "dbd7d1b593357c4d85d3d14ef6ad77a21e34703b2291fe90f9c2f01e2c3af971",
+         420),
+        # the 60-frame grid-6 pin: each of its 36 cluster heads owns one RP
+        # slot a frame and was once asked in every one (2,160 asks); once
+        # its hops hold slots, a station is asked only after a real-time
+        # flow stops
+        (helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=60, rf=200.0),
+         "5d9cfc3019ad1e18be50ebcd92bb524de5c163610d0f5763d68ddd166b85872e", 65),
+        (helpers.signalling_order(),
+         "5f6f5822eca5280b98bd73543a5cc3213634ff4e98f5de13c40db85c8edd0d8d", 60),
+    ],
+    ids=["churn", "line_mixed60", "grid6", "signalling_order"],
+)
+def test_an_rp_owner_is_skipped_only_when_it_has_nothing_to_signal(data, digest, asked):
+    # the digests were taken before owners were skipped
+    sc = from_dict(data)
+    sim = SkipChecked(sc, seed=0)
+    report, _ = sim.run()
+    assert sim.asked == asked
+    assert sim.asked + sim.skipped == len(sim.ch_ids) * sc.horizon_frames
+    assert report.trace_digest == digest
 
 
 def test_slot_times_are_exact_with_slot_lengths_that_do_not_sum_exactly():
