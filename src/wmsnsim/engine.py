@@ -12,20 +12,26 @@ A run's work follows the protocol, not slots x stations. An RP slot
 asks only the cluster heads that own it whether to contend, and ends
 there when none does. Of those it skips each one that can have nothing
 to signal: all its hops hold slots, and none of its real-time flows has
-reached its stop frame. A station counts its hops without slots in the
-one step that changes a hop's slots, _StationState.set_slots. A CF slot
-plays its plan: the senders with their addressees and hops, and the
-listeners, built from the reservation tables and the slots each hop
-holds only after a table changed. The run keeps every CF channel
-outcome by what decides it, the senders that sent with their addressees
-and the slot's listeners, and every RP channel outcome by its senders,
-since every cluster head listens to each control channel. So a channel
-is resolved, and its Transmissions built, once per such set in a run,
-however often the tables change.
+reached its stop frame. A station counts its hops without slots, and
+the run keeps the set of stations with such a hop, in the one step that
+changes a hop's slots, _StationState.set_slots. While that set is empty
+and no real-time flow has reached its stop frame, every owner would be
+skipped, so run() skips the frame's whole RP. A CF slot plays its plan:
+the senders with their addressees and hops, and the listeners, built
+from the reservation tables and the slots each hop holds only after a
+table changed. The run keeps every CF channel outcome by what decides
+it, the senders that sent with their addressees and the slot's
+listeners, and every RP channel outcome by its senders, since every
+cluster head listens to each control channel. So a channel is resolved,
+and its Transmissions built, once per such set in a run, however often
+the tables change.
 A CF slot's start is the frame's first CF slot start, taken once per
 frame, plus a per-slot offset. A slot scans queues for missed deadlines
 only once the earliest queued deadline can have passed, and polls the
-optical uplink only at cluster heads that are some flow's last hop.
+optical uplink only at cluster heads that are some flow's last hop and
+only while their uplink queue holds a packet. A slot whose plan has no
+sender and no listener ends right after that scan while every uplink
+queue is empty, since nothing can happen in it.
 Energy is counted as it is spent (sending, receiving, listening for a
 reserved packet); idle listening in the RP and sleep are booked in bulk
 at the end of the run. The frame boundary visits only tables that hold
@@ -59,20 +65,21 @@ non-ASCII character as \\uXXXX).
 serialize_trace joins those lines, and trace_digest is the SHA-256 of
 their UTF-8 bytes, which a written trace.jsonl holds byte for byte.
 
-A run's trace is serialised once, as it is emitted. Every kind the
-engine emits during frames is declared in _SHAPES and has its own
-emitter, Simulation._emit_<kind>, compiled from that declaration: it
-takes the detail's values as arguments, appends them as one record, the
-tuple (kind, frame, slot, phase, station, the values in _SHAPES order),
-and fills the kind's printf template when they pass their types' tests.
-The trace keeps that record, not a dict: Trace builds an event's dict
-when it is read (see _event), and the auditor reads the records by
-position. The one other way to make a line is _line, _CANONICAL.encode
-of the event: it writes the route events (Simulation._emit, whose trace
+A run's trace is serialised once, as it is emitted, and each line is
+made once, as UTF-8 bytes. Every kind the engine emits during frames is
+declared in _SHAPES and has its own emitter, Simulation._emit_<kind>,
+compiled from that declaration: it takes the detail's values as
+arguments, appends them as one record, the tuple (kind, frame, slot,
+phase, station, the values in _SHAPES order), and fills the kind's bytes
+printf template when they pass their types' tests. The trace keeps that
+record, not a dict: Trace builds an event's dict when it is read (see
+_event), and the auditor reads the records by position. The one other
+way to make a line is _line, _CANONICAL.encode of the event, which is
+then encoded: it writes the route events (Simulation._emit, whose trace
 items are dicts), an event with a value off its type, and a trace that
-keeps no text. At the end of each frame run() folds the frame's lines
-into the UTF-8 bytes Simulation.trace keeps (a Trace, a list that also
-holds its canonical text), so the digest run() takes only hashes them,
+keeps no text. At the end of each frame run() joins the frame's lines onto the
+UTF-8 bytes Simulation.trace keeps (a Trace, a list that also holds its
+canonical text), so the digest run() takes only hashes them,
 and serialize_trace, trace_digest and `wmsnsim run --trace` reuse them
 for as long as no event has been appended. run() pauses the cyclic
 collector over its frames: a run makes no reference cycles, so each
@@ -274,7 +281,8 @@ class _FlowRuntime:
 class _StationState:
     """Mutable per-station simulation state."""
 
-    def __init__(self, sid: int, cf_slots: int, rng: random.Random):
+    def __init__(self, sid: int, cf_slots: int, rng: random.Random, waiting: set[int]):
+        self.sid = sid
         self.rng = rng
         self.mac = StationMac(sid, cf_slots)
         self.hops: dict[int, _Hop] = {}  # flow id -> the hop we send, ascending
@@ -285,12 +293,19 @@ class _StationState:
         # it, a station whose hops all hold slots has nothing to signal
         self.slotless = 0
         self.rt_stop = math.inf
+        # the run's stations with some hop that holds no slots, shared by
+        # every station and kept by set_slots
+        self.waiting = waiting
 
     def set_slots(self, hop: _Hop, slots: tuple[int, ...] | None) -> None:
         """Give one of our hops its slots, or None: every change of a
         hop's slots goes through here."""
         self.slotless += (slots is None) - (hop.slots is None)
         hop.slots = slots
+        if self.slotless:
+            self.waiting.add(self.sid)
+        else:
+            self.waiting.discard(self.sid)
 
 
 # -- results ----------------------------------------------------------------
@@ -392,27 +407,33 @@ _SHAPES = {
 }
 
 # The phases, backoff reasons and enum values the engine puts in those
-# kinds: strings that need no escape, so a template quotes them as they are
-_QUOTABLE = frozenset(
-    ["RP", "CFP", "cancel", "overwrite", "expire"]
+# kinds: strings that need no escape, each with the bytes a template
+# writes for it, quotes included
+_QUOTED = {
+    v: b'"%s"' % v.encode()
+    for v in ["RP", "CFP", "cancel", "overwrite", "expire"]
     + ["busy", "no_free_slots", "no_accept", "no_cancel_ack"]
     + [k._value_ for k in MsgKind]
     + [k._value_ for k in ReservationKind]
     + [r._value_ for r in DropReason]
-)
+}
+_QUOTABLE = _QUOTED.keys()
 
-# Each value type's inline test, printf conversion and argument, for the
-# value named {v}: an int that is not a bool, a finite float, a str in
-# _QUOTABLE, a list of such ints, and such an int or None
+# Each value type's inline test, bytes printf conversion and argument,
+# for the value named {v}: an int that is not a bool, a finite float
+# (whose %a is its repr), a str in _QUOTABLE, a list of such ints, and
+# such an int or None
 _TYPES = {
     int: ("type({v}) is int", "%d", "{v}"),
-    float: ("type({v}) is float and -_INF < {v} < _INF", "%r", "{v}"),
-    str: ("type({v}) is str and {v} in _QUOTABLE", '"%s"', "{v}"),
+    float: ("type({v}) is float and -_INF < {v} < _INF", "%a", "{v}"),
+    str: ("type({v}) is str and {v} in _QUOTABLE", "%s", "_QUOTED[{v}]"),
     list[int]: (
         "type({v}) is list and all([type(x) is int for x in {v}])", "[%s]",
-        '",".join(map(str, {v}))',
+        'b",".join([b"%d" % x for x in {v}])',
     ),
-    int | None: ("({v} is None or type({v}) is int)", "%s", '"null" if {v} is None else {v}'),
+    int | None: (
+        "({v} is None or type({v}) is int)", "%s", 'b"null" if {v} is None else b"%d" % {v}',
+    ),
 }
 
 _INF = math.inf
@@ -421,13 +442,13 @@ _INF = math.inf
 def _emitter(event, shape):
     """Simulation._emit_<event>(frame, slot, phase, station, *, <the
     kind's keys>): it appends the event's record, (event, frame, slot,
-    phase, station, the values in key order), and the event's line. The
-    line fills the kind's printf template when every value passes its
-    type's test in _TYPES, the envelope's too (int frame, slot and
-    station, a str phase in _QUOTABLE); any other comes from _line of the
-    record's event. An empty list stays in the record, but it leaves its
-    key out of the event and takes the kind's second template, which has
-    no such key.
+    phase, station, the values in key order), and the event's line as
+    UTF-8 bytes. The line fills the kind's bytes printf template when
+    every value passes its type's test in _TYPES, the envelope's too (int
+    frame, slot and station, a str phase in _QUOTABLE); any other comes
+    from _line of the record's event, encoded. An empty list stays in the
+    record, but it leaves its key out of the event and takes the kind's
+    second template, which has no such key.
 
     The method is compiled from _SHAPES, never from input, so that each
     value arrives as an argument and each check is one inline test: a
@@ -444,8 +465,8 @@ def _emitter(event, shape):
             src += _emit_body(event, [kt for kt in shape if kt[0] != k], " " * 8)
             src += "        return\n"
     src += _emit_body(event, shape, " " * 4)
-    # compiled in this module's globals: _line, _event, _QUOTABLE and _INF
-    # are looked up here when the method runs
+    # compiled in this module's globals: _line, _event, _QUOTABLE, _QUOTED
+    # and _INF are looked up here when the method runs
     scope = {}
     exec(src, globals(), scope)
     return scope[name]
@@ -463,7 +484,7 @@ def _emit_body(event, shape, indent):
     template = (
         f'{{"detail":{{{",".join(fields[:n])}}},"event":"{event}",{",".join(fields[n:])}}}\n'
     )
-    line = f"{template!r} % ({args},) if {test} else _line(_event(r))"
+    line = f"{template.encode()!r} % ({args},) if {test} else _line(_event(r)).encode()"
     return f"{indent}self._lines.append({line})\n"
 
 
@@ -614,11 +635,13 @@ class Simulation:
         self.fso_comm = {sid: net.beam(sid) & chs for sid in self.ch_ids}
         self.fso_intf = {sid: net.beam(sid, mult) & chs for sid in self.ch_ids}
 
+        self._waiting: set[int] = set()  # see _StationState.waiting
         self.sts: dict[int, _StationState] = {
             sid: _StationState(
                 sid,
                 self.layout.cf_slots,
                 random.Random(f"{seed}/station/{sid}"),
+                self._waiting,
             )
             for sid in self.ch_ids
         }
@@ -638,6 +661,8 @@ class Simulation:
             st = self.sts[sid]
             self.queue_order += [(sid, hop.queue) for hop in st.hops.values()]
             st.slotless = len(st.hops)  # no hop holds slots yet
+            if st.hops:
+                self._waiting.add(sid)
             st.rt_stop = min(
                 [self._flow_stop(h.flow) for h in st.hops.values() if h.flow.real_time],
                 default=math.inf,
@@ -645,7 +670,11 @@ class Simulation:
             if st.uplink is not None:
                 self.queue_order.append((sid, st.uplink))
         self._next_due = math.inf
-        self.uplink_ids = [sid for sid in self.ch_ids if self.sts[sid].uplink is not None]
+        # before this frame, a frame in which no station waits for slots
+        # has nothing to signal in its RP
+        self._rt_stop = min([st.rt_stop for st in self.sts.values()], default=math.inf)
+        # each polled optical uplink, by its cluster head, in station order
+        self.uplinks = [(sid, st.uplink) for sid, st in self.sts.items() if st.uplink is not None]
 
         # built by _schedule(), dropped by every table change
         self._cf_plan: list[tuple[list, frozenset]] | None = None
@@ -664,7 +693,7 @@ class Simulation:
         self._rp_busy = dict.fromkeys(self.ch_ids, 0)  # RP slots sent or received in
 
         self.trace = Trace()
-        self._lines: list[str] = []  # the lines of the events not folded yet
+        self._lines: list[bytes] = []  # the lines of the events not folded yet
         self.control_collisions = 0
         self.data_collisions = 0
         self.wasted_slots = 0
@@ -712,7 +741,7 @@ class Simulation:
             "event": event, "detail": detail,
         }
         self.trace.append(e)
-        self._lines.append(_line(e))
+        self._lines.append(_line(e).encode())
 
     def _drop(self, frame, slot, phase, sid, pkt):
         # the reason is the one the drop site set on the packet
@@ -742,18 +771,23 @@ class Simulation:
         # end, so the digest _report takes only hashes them. The cyclic
         # collector is paused over the frames (see the module docstring).
         trace, text = self.trace, bytearray()
+        rp_slots = range(self.layout.rp_slots)
         collecting = gc.isenabled()
         gc.disable()
         try:
             for frame in range(self.horizon):
                 self._generate(frame)
-                for r in range(self.layout.rp_slots):
-                    self._rp_slot(frame, r)
+                # with no station waiting for slots and no real-time flow
+                # over, _rp_slot would skip every owner, and only the RP
+                # itself could change that: the frame's RP is skipped
+                if self._waiting or frame >= self._rt_stop:
+                    for r in rp_slots:
+                        self._rp_slot(frame, r)
                 self._cfp_start = self.layout.cf_slot_start_ms(frame, 0)
                 for s in range(self.layout.cf_slots):
                     self._cf_slot(frame, s)
                 self._end_frame(frame)
-                text += "".join(self._lines).encode()
+                text += b"".join(self._lines)
                 self._lines.clear()
                 trace.sealed, trace._text = len(trace), text
         finally:
@@ -1108,8 +1142,15 @@ class Simulation:
 
         plan = self._cf_plan
         senders, listeners = (self._schedule() if plan is None else plan)[s]
+        if not senders and not listeners:
+            # no one sends or listens, so only an uplink can use the slot
+            for _, q in self.uplinks:
+                if len(q):
+                    break
+            else:
+                return
         counts = self.meter.counts
-        sent = []
+        sent, tx, pairs = [], [], []
         for sid, to, hop in senders:
             q = hop.queue
             pkt = q.head_ready(slot_start)
@@ -1120,11 +1161,12 @@ class Simulation:
             q.pop()
             counts[sid]["tx"] += 1
             sent.append((sid, hop, pkt, to))
+            tx.append(sid)
+            pairs.append((sid, to))
             self._emit_data_tx(frame, s, "CFP", sid, flow=pkt.flow_id, seq=pkt.seq, to=to)
 
         # the outcome is resolved once per senders and listeners in a run
-        tx = [x[0] for x in sent]
-        key = (tuple([(x[0], x[3]) for x in sent]), listeners)
+        key = (tuple(pairs), listeners)
         outcome = self._outcomes.get(key)
         if outcome is None:
             outcome = self._outcomes[key] = self._resolve_data(sent, listeners)
@@ -1151,14 +1193,13 @@ class Simulation:
         # cluster heads with nothing scheduled serve their polled optical
         # uplink: one buffered packet straight up per otherwise idle slot
         uplinked = False
-        for sid in self.uplink_ids:
-            if sid in listeners or sid in tx:
+        for sid, q in self.uplinks:
+            if not len(q) or sid in listeners or sid in tx:
                 continue
-            st = self.sts[sid]
-            pkt = st.uplink.head_ready(slot_start)
+            pkt = q.head_ready(slot_start)
             if pkt is None:
                 continue
-            st.uplink.pop()
+            q.pop()
             uplinked = True
             counts[sid]["tx"] += 1
             self._emit_uplink_tx(frame, s, "CFP", sid, flow=pkt.flow_id, seq=pkt.seq)

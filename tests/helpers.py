@@ -211,13 +211,14 @@ def signalling_order(horizon=60):
 
 
 def record_trace_lines(monkeypatch):
-    """Records every event line the engine makes from now on, in order;
-    returns the list it fills. Each kind in engine._SHAPES has its own
-    emitter, Simulation._emit_<kind>, which makes its event's line, and
-    engine._line makes every other: those of Simulation._emit and of a
-    trace serialised without kept text, and an emitter's line when a
-    value fails its type's test. A _line call inside an emitter makes
-    that emitter's line, so it is recorded once."""
+    """Records every event line the engine makes from now on, in order, as
+    str; returns the list it fills. Each kind in engine._SHAPES has its
+    own emitter, Simulation._emit_<kind>, which makes its event's line as
+    UTF-8 bytes, and engine._line makes every other: those of
+    Simulation._emit and of a trace serialised without kept text, and an
+    emitter's line when a value fails its type's test. A _line call
+    inside an emitter makes that emitter's line, so it is recorded
+    once."""
     made = []
     inside = [False]
     real_line = engine._line
@@ -235,7 +236,7 @@ def record_trace_lines(monkeypatch):
                 emit(self, *args, **detail)
             finally:
                 inside[0] = False
-            made.append(self._lines[-1])
+            made.append(self._lines[-1].decode())
         return emitter
 
     monkeypatch.setattr(engine, "_line", line)

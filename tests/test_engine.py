@@ -34,7 +34,8 @@ from wmsnsim import (
 )
 from wmsnsim import engine
 from wmsnsim.mac import ReservationKind
-from wmsnsim.scenario import FAULT_KINDS
+from wmsnsim.scenario import FAULT_KINDS, ScenarioError
+from wmsnsim.traffic import SERVICE_CLASSES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS, line_mixed  # noqa: E402
@@ -816,7 +817,9 @@ class OutcomeChecked(Simulation):
     """After each CF slot, re-resolves the slot's full transmission list,
     built from the slot's data_tx events and the tables, and checks the
     channel outcome the run keeps for those senders and listeners against
-    it."""
+    it. A slot with no sender and no listener may keep none: its fresh
+    outcome must be empty, and it must have emitted no reception or
+    collision."""
 
     slots_checked = 0
     collisions_checked = 0
@@ -844,7 +847,13 @@ class OutcomeChecked(Simulation):
             sorted(collisions.items()),
         )
         key = (tuple((t.sender, t.to) for t in channel), frozenset(listeners))
-        assert self._outcomes[key] == want, (frame, s)
+        if channel or listeners:
+            assert self._outcomes[key] == want, (frame, s)
+        else:
+            assert want == ([], []) and self._outcomes.get(key, want) == want, (frame, s)
+            assert not [
+                e for e in self.trace[first:] if e["event"] in ("data_rx", "data_collision")
+            ], (frame, s)
         self.slots_checked += 1
         self.collisions_checked += len(collisions)
 
@@ -918,10 +927,13 @@ def test_cf_slots_resolve_the_channel_once_per_plan_and_sender_set(monkeypatch):
 def test_cf_outcomes_outlive_table_changes(monkeypatch):
     # churn's datagram entries change some table every frame, which once
     # threw every kept outcome away (1,600 calls); an outcome is kept by
-    # the senders with their addressees and the listeners instead
+    # the senders with their addressees and the listeners instead. The
+    # empty channel with no listener was the eighth: such a slot now ends
+    # before its outcome whenever every uplink queue is empty, as it is
+    # in each of churn's
     report, slots, calls = cf_resolves(monkeypatch, helpers.churn())
     assert slots == 1600
-    assert calls == 8
+    assert calls == 7
     assert report.trace_digest == (
         "67b6746460916ebe6c3837a2945405b2becc10be441f84e02a2901cb47c0b080"
     )
@@ -985,7 +997,10 @@ def test_kept_control_outcomes_match_a_fresh_resolve_at_every_rp_channel(
 class SkipChecked(Simulation):
     """Before each RP slot, asks every owner of the slot what it would
     signal; after it, checks that each owner the run did not ask would
-    have signalled nothing."""
+    have signalled nothing. In a frame whose RP is skipped, every owner
+    is asked at the frame's start, after its packets are generated: no
+    state changes within a skipped RP, so that is what each would have
+    signalled there, and it must be nothing."""
 
     asked = 0
     skipped = 0
@@ -994,7 +1009,23 @@ class SkipChecked(Simulation):
         self._asked.add(sid)
         return super()._pick_action(sid, frame)
 
+    def _generate(self, frame):
+        super()._generate(frame)
+        self._at_start = {
+            sid: Simulation._pick_action(self, sid, frame)
+            for owners in self.rp_owners for sid in owners
+        }
+        self._rp_played = False
+
+    def _end_frame(self, frame):
+        if not self._rp_played:
+            for sid, act in self._at_start.items():
+                assert act is None, (frame, sid)
+                self.skipped += 1
+        super()._end_frame(frame)
+
     def _rp_slot(self, frame, r):
+        self._rp_played = True
         would = {sid: Simulation._pick_action(self, sid, frame) for sid in self.rp_owners[r]}
         self._asked = set()
         super()._rp_slot(frame, r)
@@ -1031,6 +1062,121 @@ def test_an_rp_owner_is_skipped_only_when_it_has_nothing_to_signal(data, digest,
     assert sim.asked == asked
     assert sim.asked + sim.skipped == len(sim.ch_ids) * sc.horizon_frames
     assert report.trace_digest == digest
+
+
+def test_a_skipped_rp_is_played_again_from_a_real_time_flows_stop_frame():
+    # two_hop's one bonded flow holds its slots from its first frames, so
+    # the RP is skipped until the flow stops at frame 40, and only then
+    # can its hop cancel; the digest was taken before any RP was skipped
+    sim = SkipChecked(from_dict(helpers.two_hop(horizon=60, stop_frame=40)), seed=0)
+    report, trace = sim.run()
+    assert (sim.asked, sim.skipped) == (21, 99)
+    assert [e["frame"] for e in trace if e["event"] == "cancel_complete"] == [41]
+    assert report.trace_digest == (
+        "54158529bd3d3c1dcc7f6fafe7e656d499b51456bf8e343258a2e360f7bb0ded"
+    )
+
+
+def test_a_frame_in_which_no_station_can_signal_skips_its_rp(monkeypatch):
+    # the 60-frame grid-6 pin: once every hop holds slots, no RP owner has
+    # anything to signal until a real-time flow stops, and the whole RP of
+    # such a frame is skipped: 9 of its 60 frames play their 11 RP slots,
+    # where every frame once did (660 calls)
+    calls = [0]
+    real = Simulation._rp_slot
+
+    def counted(self, frame, r):
+        calls[0] += 1
+        real(self, frame, r)
+
+    monkeypatch.setattr(Simulation, "_rp_slot", counted)
+    report, _ = run(helpers.grid(6, flows=helpers.grid_flows(6, 6), horizon=60, rf=200.0))
+    assert calls[0] == 99
+    assert report.trace_digest == (
+        "5d9cfc3019ad1e18be50ebcd92bb524de5c163610d0f5763d68ddd166b85872e"
+    )
+
+
+def random_layout(rng):
+    """A small jittered grid of cluster heads with sectors aimed roughly
+    east, a base station east of it, a few sensors, and flows of every
+    class at rates inside the class's band, with random faults, sometimes
+    without slotting or with a wider interference footprint."""
+    nx, ny = rng.randint(2, 4), rng.randint(1, 3)
+    stations = [
+        helpers.ch(
+            nx * gy + gx, 50.0 + 100.0 * gx + rng.uniform(-30, 30),
+            50.0 + 100.0 * gy + rng.uniform(-30, 30), theta=rng.gauss(0.0, 0.4),
+            alpha=rng.uniform(1.0, 2.4), reach=rng.uniform(110.0, 230.0),
+            rf=rng.uniform(90.0, 250.0),
+        )
+        for gy in range(ny)
+        for gx in range(nx)
+    ]
+    heads = [st["id"] for st in stations]
+    stations.append(helpers.bs(100, 50.0 + 100.0 * nx, rng.uniform(0.0, 100.0 * ny)))
+    sensors = [200 + i for i in range(rng.randint(0, 2))]
+    stations += [
+        helpers.sensor(i, rng.uniform(0.0, 100.0 * nx), rng.uniform(0.0, 100.0 * ny))
+        for i in sensors
+    ]
+    horizon = rng.randint(10, 60)
+    flows = []
+    for fid in range(1, rng.randint(1, 6) + 1):
+        cls = rng.choice(sorted(SERVICE_CLASSES))
+        service = SERVICE_CLASSES[cls]
+        src = rng.choice(heads + sensors)
+        f = helpers.flow(
+            fid, src, rng.choice([100, 100] + [h for h in heads if h != src]), cls=cls,
+            mode=rng.choice(["bonded", "semi_bonded", "none"]) if service.real_time else "none",
+            rate=rng.uniform(service.bandwidth_min, service.bandwidth_max),
+            size=rng.randint(1000, 64000), burst_length=rng.randint(1, 6),
+        )
+        if rng.random() < 0.3:
+            f["start_frame"] = rng.randint(0, 3)
+            f["stop_frame"] = f["start_frame"] + rng.randint(1, horizon)
+        flows.append(f)
+    faults = [
+        {"kind": rng.choice(sorted(FAULT_KINDS)), "frame": rng.randint(0, horizon - 1),
+         "sender": rng.choice(heads)}
+        for _ in range(rng.randint(0, 2))
+    ]
+    data = helpers.base(stations, flows, horizon=horizon, faults=faults)
+    if rng.random() < 0.3:
+        data["mac"] = {"slotting_enabled": False}
+    if rng.random() < 0.3:
+        data["channel"] = {"interference_multiplier": rng.uniform(1.0, 1.6)}
+    return data
+
+
+def test_a_random_layout_validates_runs_and_serialises_canonically():
+    # validation refuses a scenario only with a ScenarioError, a scenario
+    # it accepts never makes a run raise, and the trace's kept text is its
+    # events' JSON lines. One case in four breaks one rule on purpose.
+    rng = random.Random(30)
+    broken = [
+        lambda d: d["flows"][0].update(rate_bps=-1.0),
+        lambda d: d["flows"][0].update(dst=999),
+        lambda d: d["flows"][0].update(src=d["flows"][0]["dst"]),
+        lambda d: d["stations"].append(dict(d["stations"][0])),
+        lambda d: d.update(horizon_frames=0),
+        lambda d: d["faults"].append({"kind": "CR", "frame": 0, "sender": 100}),
+    ]
+    ran = refused = 0
+    for case in range(30):
+        data = random_layout(rng)
+        if case % 4 == 3:
+            rng.choice(broken)(data)
+        try:
+            sc = from_dict(data)
+        except ScenarioError:
+            refused += 1
+            continue
+        report, trace = Simulation(sc, seed=case).run()
+        assert serialize_trace(trace) == canonical(list(trace)), case
+        assert report.trace_digest == sha256_hex(canonical(list(trace))), case
+        ran += 1
+    assert (ran, refused) == (23, 7)
 
 
 def test_slot_times_are_exact_with_slot_lengths_that_do_not_sum_exactly():
@@ -1377,6 +1523,25 @@ def test_an_event_off_its_kinds_shape_still_comes_out_canonical():
         {"a": 1, "b": 2, "c": 3, "d": 4, "e": 5, "f": 6},
     ]
     assert serialize_trace(read) == canonical(read)
+
+
+def test_templates_write_floats_big_ints_and_slot_lists_as_json_does(monkeypatch):
+    # each line is its kind's bytes template, never _line: %a writes a
+    # finite float as its repr, which json.dumps writes too, and %d any
+    # int, however large
+    fallback = []
+    monkeypatch.setattr(engine, "_line", fallback.append)
+    sim = Simulation(from_dict(helpers.two_hop(horizon=2)), seed=0)
+    for x in [0.1 + 0.2, 1e16, 1e-7, 5e-324, -0.0, 2.0**53]:
+        sim._emit_packet_gen(0, 0, "RP", 1, created_ms=x, flow=1, seq=2**63 + 1)
+        sim._emit_data_delivered(3, 4, "CFP", 2, delay_ms=x, flow=2, seq=2**64)
+    sim._emit_control_tx(5, 6, "RP", 1, kind="CR", slots=[0, 2**70, 3], to=None)
+    sim._emit_handshake_complete(5, 6, "RP", 1, flow=1, kind="datagram", peer=2, slots=[2**65])
+    assert fallback == []
+    assert [line.decode() for line in sim._lines] == [
+        json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in sim.trace
+    ]
+    assert len(sim.trace) == 14
 
 
 def test_run_pauses_the_collector_over_its_frames_and_restores_the_callers_setting():
