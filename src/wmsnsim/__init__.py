@@ -15,8 +15,6 @@ from .engine import (
     Transmission,
     resolve_slot,
     run_simulation,
-    serialize_trace,
-    trace_digest,
 )
 from .geometry import (
     ANGLE_TOL,
@@ -85,6 +83,7 @@ from .topology import (
     fso_can_transmit,
     rf_hop_distance,
 )
+from .trace import serialize_trace, trace_digest
 from .traffic import (
     SERVICE_CLASSES,
     DropReason,

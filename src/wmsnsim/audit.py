@@ -39,7 +39,7 @@ frame, slot, phase, station, the detail's values in sorted key order),
 and its route events as dicts. The auditor reads a record's fields by
 position, from a key table of its own (_FIELDS), and turns any event
 dict, from a run or from a plain list, into such a record through that
-same table. It imports nothing from the engine.
+same table. It imports nothing from the engine or from trace.py.
 """
 
 from __future__ import annotations

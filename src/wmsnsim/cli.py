@@ -25,11 +25,12 @@ import os
 import sys
 
 from .audit import AuditReport, run_audits
-from .engine import SimReport, Simulation, _canonical
+from .engine import SimReport, Simulation
 from .geometry import float_sum
 from .routing import ProgressMode, rank_paths
 from .scenario import Scenario, ScenarioError, from_dict
 from .topology import attach_point
+from .trace import trace_bytes
 
 METRIC_COLUMNS = [
     "row_type",
@@ -170,7 +171,7 @@ def _run_once(sc: Scenario, seed: int, out_dir: str, want_trace: bool):
     _write_metrics(os.path.join(out_dir, "metrics.csv"), report)
     if want_trace:
         with open(os.path.join(out_dir, "trace.jsonl"), "wb") as fh:
-            fh.write(_canonical(trace))
+            fh.write(trace_bytes(trace))
     return report, audit
 
 

@@ -50,38 +50,12 @@ records its grant, built once, through _claim, StationMac.claim's one rule
 with its events: the responder as it answers the request, the initiator
 as it hears the accept, and a bystander as it hears the broadcast.
 
-The simulation emits a structured event trace. Post-run audits
-(see audit.py) replay that trace against the topology to check the
-protocol's correctness properties; the engine itself never consults
-the auditor.
-
-An event reads as a dict of frame, slot, phase, station, event and
-detail, and every detail value is JSON-ready when emitted (enum values,
-lists, never tuples). Its canonical line is json.dumps(event,
-sort_keys=True, separators=(",", ":")) followed by one "\\n": keys sorted
-at every level, no spaces, floats as repr, and ASCII-only strings
-(quote, backslash, \\b \\f \\n \\r \\t escaped short, every other control or
-non-ASCII character as \\uXXXX).
-serialize_trace joins those lines, and trace_digest is the SHA-256 of
-their UTF-8 bytes, which a written trace.jsonl holds byte for byte.
-
-A run's trace is serialised once, as it is emitted, and each line is
-made once, as UTF-8 bytes. Every kind the engine emits during frames is
-declared in _SHAPES and has its own emitter, Simulation._emit_<kind>,
-compiled from that declaration: it takes the detail's values as
-arguments, appends them as one record, the tuple (kind, frame, slot,
-phase, station, the values in _SHAPES order), and fills the kind's bytes
-printf template when they pass their types' tests. The trace keeps that
-record, not a dict: Trace builds an event's dict when it is read (see
-_event), and the auditor reads the records by position. The one other
-way to make a line is _line, _CANONICAL.encode of the event, which is
-then encoded: it writes the route events (Simulation._emit, whose trace
-items are dicts), an event with a value off its type, and a trace that
-keeps no text. At the end of each frame run() joins the frame's lines onto the
-UTF-8 bytes Simulation.trace keeps (a Trace, a list that also holds its
-canonical text), so the digest run() takes only hashes them,
-and serialize_trace, trace_digest and `wmsnsim run --trace` reuse them
-for as long as no event has been appended. run() pauses the cyclic
+The simulation emits a structured event trace through the emitters of
+its Trace (see trace.py, which alone defines the trace's lines and
+digest). Post-run audits (see audit.py) replay that trace against the
+topology to check the protocol's correctness properties; the engine
+itself never consults the auditor. run() folds each frame's lines into
+the trace's kept text at the frame's end, and pauses the cyclic
 collector over its frames: a run makes no reference cycles, so each
 pass would only re-walk the growing trace's records and free nothing.
 """
@@ -89,8 +63,6 @@ pass would only re-walk the growing trace's records and free nothing.
 from __future__ import annotations
 
 import gc
-import hashlib
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -109,6 +81,9 @@ from .mac import (
 )
 from .routing import RouteConfig, discover
 from .topology import StationKind, attach_point
+# serialize_trace is not called here: perfbench/operation.py calls
+# engine.serialize_trace
+from .trace import Trace, serialize_trace, trace_digest  # noqa: F401
 from .traffic import (
     DropReason,
     Flow,
@@ -367,229 +342,6 @@ class SimReport:
     routes: dict[int, tuple[int, ...] | None]
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _line(event):
-    """An event's canonical line, newline included: the reference that
-    each kind's template writes byte for byte (see _emitter), and the
-    line of every event no template writes."""
-    return _CANONICAL.encode(event) + "\n"
-
-
-# The detail of each kind the engine emits during frames: each key, in
-# sorted order, with the type of its value (see _TYPES). A kind's one
-# list-typed key is its only optional one: the detail leaves it out when
-# its list is empty. The route events, at most one per flow, have two
-# detail shapes and come from Simulation._emit.
-_SHAPES = {
-    "data_tx": (("flow", int), ("seq", int), ("to", int)),
-    "data_rx": (("flow", int), ("sender", int), ("seq", int)),
-    "rt_insert": (
-        ("established_frame", int), ("kind", str), ("rx", int), ("slot_index", int),
-        ("tx", int),
-    ),
-    "rt_delete": (("kind", str), ("reason", str), ("rx", int), ("slot_index", int), ("tx", int)),
-    "packet_gen": (("created_ms", float), ("flow", int), ("seq", int)),
-    "packet_drop": (("flow", int), ("reason", str), ("seq", int)),
-    "data_delivered": (("delay_ms", float), ("flow", int), ("seq", int)),
-    "uplink_tx": (("flow", int), ("seq", int)),
-    "wasted_slot": (("flow", int),),
-    "frame_end": (),
-    "control_tx": (("kind", str), ("slots", list[int]), ("to", int | None)),
-    "control_fault_drop": (("kind", str), ("slots", list[int]), ("to", int | None)),
-    "control_collision": (("senders", list[int]),),
-    "data_collision": (("senders", list[int]),),
-    "handshake_complete": (("flow", int), ("kind", str), ("peer", int), ("slots", list[int])),
-    "cancel_complete": (("flow", int), ("peer", int), ("slots", list[int])),
-    "backoff": (("attempt", int), ("flow", int), ("reason", str), ("retry_frame", int)),
-    "no_free_slots": (("flow", int),),
-}
-
-# The phases, backoff reasons and enum values the engine puts in those
-# kinds: strings that need no escape, each with the bytes a template
-# writes for it, quotes included
-_QUOTED = {
-    v: b'"%s"' % v.encode()
-    for v in ["RP", "CFP", "cancel", "overwrite", "expire"]
-    + ["busy", "no_free_slots", "no_accept", "no_cancel_ack"]
-    + [k._value_ for k in MsgKind]
-    + [k._value_ for k in ReservationKind]
-    + [r._value_ for r in DropReason]
-}
-_QUOTABLE = _QUOTED.keys()
-
-# Each value type's inline test, bytes printf conversion and argument,
-# for the value named {v}: an int that is not a bool, a finite float
-# (whose %a is its repr), a str in _QUOTABLE, a list of such ints, and
-# such an int or None
-_TYPES = {
-    int: ("type({v}) is int", "%d", "{v}"),
-    float: ("type({v}) is float and -_INF < {v} < _INF", "%a", "{v}"),
-    str: ("type({v}) is str and {v} in _QUOTABLE", "%s", "_QUOTED[{v}]"),
-    list[int]: (
-        "type({v}) is list and all([type(x) is int for x in {v}])", "[%s]",
-        'b",".join([b"%d" % x for x in {v}])',
-    ),
-    int | None: (
-        "({v} is None or type({v}) is int)", "%s", 'b"null" if {v} is None else b"%d" % {v}',
-    ),
-}
-
-_INF = math.inf
-
-
-def _emitter(event, shape):
-    """Simulation._emit_<event>(frame, slot, phase, station, *, <the
-    kind's keys>): it appends the event's record, (event, frame, slot,
-    phase, station, the values in key order), and the event's line as
-    UTF-8 bytes. The line fills the kind's bytes printf template when
-    every value passes its type's test in _TYPES, the envelope's too (int
-    frame, slot and station, a str phase in _QUOTABLE); any other comes
-    from _line of the record's event, encoded. An empty list stays in the
-    record, but it leaves its key out of the event and takes the kind's
-    second template, which has no such key.
-
-    The method is compiled from _SHAPES, never from input, so that each
-    value arrives as an argument and each check is one inline test: a
-    generic check that mapped type() over a detail's values took about
-    as long as the template saved."""
-    keys = "".join(f", {k}" for k, _ in shape)
-    name = f"_emit_{event}"
-    src = f"def {name}(self, frame, slot, phase, station{', *' if keys else ''}{keys}):\n"
-    src += f"    r = ({event!r}, frame, slot, phase, station{keys})\n"
-    src += "    self.trace.append(r)\n"
-    for k, t in shape:
-        if t == list[int]:
-            src += f"    if {k} == []:\n"
-            src += _emit_body(event, [kt for kt in shape if kt[0] != k], " " * 8)
-            src += "        return\n"
-    src += _emit_body(event, shape, " " * 4)
-    # compiled in this module's globals: _line, _event, _QUOTABLE, _QUOTED
-    # and _INF are looked up here when the method runs
-    scope = {}
-    exec(src, globals(), scope)
-    return scope[name]
-
-
-def _emit_body(event, shape, indent):
-    """The statement of an emitter that appends the line of its record r,
-    whose event has this detail shape."""
-    pairs = [*shape, ("frame", int), ("phase", str), ("slot", int), ("station", int)]
-    test = " and ".join(_TYPES[t][0].format(v=k) for k, t in pairs)
-    args = ", ".join(_TYPES[t][2].format(v=k) for k, t in pairs)
-    fields = [f'"{k}":{_TYPES[t][1]}' for k, t in pairs]
-    n = len(shape)
-    # the envelope's keys in sorted order, with the detail's inside
-    template = (
-        f'{{"detail":{{{",".join(fields[:n])}}},"event":"{event}",{",".join(fields[n:])}}}\n'
-    )
-    line = f"{template.encode()!r} % ({args},) if {test} else _line(_event(r)).encode()"
-    return f"{indent}self._lines.append({line})\n"
-
-
-# each kind's detail keys in record order, and its list-typed key, which
-# its event leaves out when the list is empty
-_KEYS = {kind: tuple(k for k, _ in shape) for kind, shape in _SHAPES.items()}
-_OPTIONAL = {kind: k for kind, shape in _SHAPES.items() for k, t in shape if t == list[int]}
-
-
-def _event(item):
-    """The event dict of a trace item: a record as the dict of frame,
-    slot, phase, station, event and detail it stands for, built anew on
-    each call around the record's own values; a dict as it is."""
-    if type(item) is not tuple:
-        return item
-    kind = item[0]
-    detail = dict(zip(_KEYS[kind], item[5:]))
-    k = _OPTIONAL.get(kind)
-    if k is not None and detail[k] == []:
-        del detail[k]
-    return {
-        "frame": item[1], "slot": item[2], "phase": item[3], "station": item[4],
-        "event": kind, "detail": detail,
-    }
-
-
-class Trace(list):
-    """A run's events, plus the canonical text of its first `sealed` ones.
-
-    Its items are records, the tuples the compiled emitters append (see
-    _emitter), and dicts, the events of Simulation._emit and any a caller
-    appends. It reads as a list of event dicts: indexing, slicing,
-    iteration, == and pickling give each record's event as _event builds
-    it. list.__iter__(trace), and list methods such as index, count and
-    in, see the items themselves.
-
-    Simulation only appends to its trace and never changes an event after
-    emitting it, so the text stays valid while len(trace) == sealed.
-    run() keeps the UTF-8 bytes, grown frame by frame, and the first
-    serialisation of any other Trace keeps them too; serialize_trace
-    swaps them for the str it returns, so the text is held once. A list
-    that is changed in place other than by appending must not be a
-    Trace."""
-
-    sealed = 0
-    _text: bytearray | str | None = None
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [_event(item) for item in list.__getitem__(self, i)]
-        return _event(list.__getitem__(self, i))
-
-    def __iter__(self):
-        return map(_event, list.__iter__(self))
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, list) else NotImplemented
-
-    def __ne__(self, other):
-        return list(self) != list(other) if isinstance(other, list) else NotImplemented
-
-
-def _held(events) -> bytearray | str | None:
-    """The text a Trace keeps for exactly its events, if any."""
-    if isinstance(events, Trace) and events.sealed == len(events):
-        return events._text
-    return None
-
-
-def _canonical(events) -> bytearray | bytes:
-    """The UTF-8 bytes of serialize_trace(events): a run's Trace holds them
-    already (see Trace), any other Trace gets them through _line once,
-    and a plain list on every call. A Trace's kept buffer itself
-    is returned, so callers only read it.
-
-    The lines are gathered as bytes, which hold a trace once instead of
-    as one str object per event: about 12 MB less peak memory than
-    joining a list of lines on a 194 k-event trace."""
-    text = _held(events)
-    if text is None:
-        text = bytearray()
-        for e in events:
-            text += _line(e).encode()
-        if isinstance(events, Trace):
-            events.sealed, events._text = len(events), text
-    return text.encode() if isinstance(text, str) else text
-
-
-def serialize_trace(events: list[dict]) -> str:
-    """Canonical JSONL form of a trace; digests are taken over this.
-    A Trace keeps the str in place of its bytes, so it holds its text
-    once."""
-    text = _held(events)
-    if not isinstance(text, str):
-        text = _canonical(events).decode()
-        if isinstance(events, Trace):
-            events._text = text
-    return text
-
-
-def trace_digest(events: list[dict]) -> str:
-    """SHA-256 of the UTF-8 bytes of serialize_trace(events)."""
-    return hashlib.sha256(_canonical(events)).hexdigest()
-
-
 # -- the simulation -----------------------------------------------------------
 
 
@@ -693,7 +445,6 @@ class Simulation:
         self._rp_busy = dict.fromkeys(self.ch_ids, 0)  # RP slots sent or received in
 
         self.trace = Trace()
-        self._lines: list[bytes] = []  # the lines of the events not folded yet
         self.control_collisions = 0
         self.data_collisions = 0
         self.wasted_slots = 0
@@ -725,27 +476,9 @@ class Simulation:
                     st.uplink = PacketQueue(capacity=10**9)
                 fr.queue_at[a] = st.uplink
 
-    # -- trace helpers -------------------------------------------------------
-
-    # An event of a kind in _SHAPES is emitted by its kind's compiled
-    # method, _emit_<kind> (see _emitter, set after this class); a route
-    # event, or one a test injects, by _emit.
-
-    def _emit(self, frame: int, slot: int, phase: str, station: int, event: str, **detail):
-        # detail values must be JSON-ready (an enum's ._value_, which skips
-        # the .value property; lists, not tuples) and never changed
-        # afterwards: the trace keeps them as given, and the line made here
-        # is their text
-        e = {
-            "frame": frame, "slot": slot, "phase": phase, "station": station,
-            "event": event, "detail": detail,
-        }
-        self.trace.append(e)
-        self._lines.append(_line(e).encode())
-
     def _drop(self, frame, slot, phase, sid, pkt):
         # the reason is the one the drop site set on the packet
-        self._emit_packet_drop(
+        self.trace.packet_drop(
             frame, slot, phase, sid,
             flow=pkt.flow_id, reason=pkt.dropped._value_, seq=pkt.seq,
         )
@@ -757,12 +490,13 @@ class Simulation:
             raise RuntimeError("a Simulation object runs once")
         self._ran = True
 
+        trace = self.trace
         for fid in self.flow_ids:
             fr = self.flows[fid]
             if fr.path is None:
-                self._emit(0, 0, "RP", fr.attach, "route", flow=fid, unrouted=True)
+                trace.emit(0, 0, "RP", fr.attach, "route", flow=fid, unrouted=True)
             else:
-                self._emit(
+                trace.emit(
                     0, 0, "RP", fr.attach, "route",
                     flow=fid, path=list(fr.path), mean_deviation=fr.mean_deviation,
                 )
@@ -770,7 +504,6 @@ class Simulation:
         # each frame's lines are folded into the trace's kept bytes at its
         # end, so the digest _report takes only hashes them. The cyclic
         # collector is paused over the frames (see the module docstring).
-        trace, text = self.trace, bytearray()
         rp_slots = range(self.layout.rp_slots)
         collecting = gc.isenabled()
         gc.disable()
@@ -787,15 +520,13 @@ class Simulation:
                 for s in range(self.layout.cf_slots):
                     self._cf_slot(frame, s)
                 self._end_frame(frame)
-                text += b"".join(self._lines)
-                self._lines.clear()
-                trace.sealed, trace._text = len(trace), text
+                trace.fold()
         finally:
             if collecting:
                 gc.enable()
         self._fill_energy()
 
-        return self._report(), self.trace
+        return self._report(), trace
 
     # -- packet generation -----------------------------------------------------
 
@@ -812,7 +543,7 @@ class Simulation:
                 continue
             for pkt in fr.source.packets_for_window(start, end):
                 fr.records.append(pkt)
-                self._emit_packet_gen(
+                self.trace.packet_gen(
                     frame, 0, "RP", fr.attach,
                     created_ms=round(pkt.created_ms, 6), flow=fid, seq=pkt.seq,
                 )
@@ -835,7 +566,7 @@ class Simulation:
     def _deliver(self, frame, slot, phase, station, pkt, at_ms) -> None:
         """The packet reaches its flow's destination, `station`, at at_ms."""
         pkt.delivered_ms = at_ms
-        self._emit_data_delivered(
+        self.trace.data_delivered(
             frame, slot, phase, station,
             delay_ms=round(pkt.delay_ms, 6), flow=pkt.flow_id, seq=pkt.seq,
         )
@@ -875,7 +606,7 @@ class Simulation:
         if hop.backoff is None:
             hop.backoff = BackoffState()
         nxt = hop.backoff.register_failure(frame, self.sts[sid].rng, self.mac_cfg.backoff)
-        self._emit_backoff(
+        self.trace.backoff(
             frame, r, "RP", sid,
             attempt=hop.backoff.attempt, flow=hop.flow.id, reason=reason, retry_frame=nxt,
         )
@@ -884,11 +615,11 @@ class Simulation:
         kind = msg.kind._value_
         tx_accum.add(sid)
         if (kind, frame, sid) in self.faults:
-            self._emit_control_fault_drop(
+            self.trace.control_fault_drop(
                 frame, r, "RP", sid, kind=kind, slots=list(msg.slots), to=msg.dst
             )
             return
-        self._emit_control_tx(frame, r, "RP", sid, kind=kind, slots=list(msg.slots), to=msg.dst)
+        self.trace.control_tx(frame, r, "RP", sid, kind=kind, slots=list(msg.slots), to=msg.dst)
         channel.append((sid, msg))
 
     def _resolve_control(self, frame, r, channel) -> list[tuple[int, ControlMessage]]:
@@ -912,7 +643,7 @@ class Simulation:
         delivered, collisions = outcome
         for rho, senders in collisions:
             self.control_collisions += 1
-            self._emit_control_collision(frame, r, "RP", rho, senders=list(senders))
+            self.trace.control_collision(frame, r, "RP", rho, senders=list(senders))
         return [(rho, channel[i][1]) for rho, i in delivered]
 
     def _rp_slot(self, frame: int, r: int) -> None:
@@ -969,7 +700,7 @@ class Simulation:
                 try:
                     msg = mac.build_request(hop.peer, hop.kind, buffered_count=count)
                 except NoFreeSlotsError:
-                    self._emit_no_free_slots(frame, r, "RP", sid, flow=hop.flow.id)
+                    self.trace.no_free_slots(frame, r, "RP", sid, flow=hop.flow.id)
                     self._register_failure(frame, r, sid, hop, "no_free_slots")
                     continue
             else:
@@ -987,7 +718,7 @@ class Simulation:
 
         # a handshake is complete once the broadcast went out, heard or not
         for x, peer, slots, kind, fid in handshakes:
-            self._emit_handshake_complete(
+            self.trace.handshake_complete(
                 frame, r, "RP", x, flow=fid, kind=kind._value_, peer=peer, slots=list(slots),
             )
 
@@ -1036,7 +767,7 @@ class Simulation:
         hop.backoff = None
         if kind is MsgKind.CANCEL_ACK:
             st.set_slots(hop, None)
-            self._emit_cancel_complete(
+            self.trace.cancel_complete(
                 frame, r, "RP", rho, flow=hop.flow.id, peer=msg.src, slots=list(msg.slots),
             )
             return None
@@ -1055,7 +786,7 @@ class Simulation:
             return
         self._cf_plan = None
         for e in displaced:
-            self._emit_rt_delete(
+            self.trace.rt_delete(
                 frame, r, "RP", sid,
                 kind=e.kind._value_, reason="overwrite", rx=e.rx, slot_index=e.cf_slot, tx=e.tx,
             )
@@ -1063,7 +794,7 @@ class Simulation:
         if kind is ReservationKind.DATAGRAM:
             self._datagram_tables.add(sid)
         for e in inserted:
-            self._emit_rt_insert(
+            self.trace.rt_insert(
                 frame, r, "RP", sid,
                 established_frame=frame, kind=kind._value_, rx=e.rx, slot_index=e.cf_slot, tx=e.tx,
             )
@@ -1071,7 +802,7 @@ class Simulation:
     def _cancel(self, frame, r, sid, slots, tx, rx) -> None:
         for e in self.sts[sid].mac.apply_cancel(slots, tx=tx, rx=rx):
             self._cf_plan = None
-            self._emit_rt_delete(
+            self.trace.rt_delete(
                 frame, r, "RP", sid,
                 kind=e.kind._value_, reason="cancel", rx=rx, slot_index=e.cf_slot, tx=tx,
             )
@@ -1156,14 +887,14 @@ class Simulation:
             pkt = q.head_ready(slot_start)
             if pkt is None:
                 self.wasted_slots += 1
-                self._emit_wasted_slot(frame, s, "CFP", sid, flow=hop.flow.id)
+                self.trace.wasted_slot(frame, s, "CFP", sid, flow=hop.flow.id)
                 continue
             q.pop()
             counts[sid]["tx"] += 1
             sent.append((sid, hop, pkt, to))
             tx.append(sid)
             pairs.append((sid, to))
-            self._emit_data_tx(frame, s, "CFP", sid, flow=pkt.flow_id, seq=pkt.seq, to=to)
+            self.trace.data_tx(frame, s, "CFP", sid, flow=pkt.flow_id, seq=pkt.seq, to=to)
 
         # the outcome is resolved once per senders and listeners in a run
         key = (tuple(pairs), listeners)
@@ -1173,12 +904,12 @@ class Simulation:
         delivered, collisions = outcome
         for rho, colliding in collisions:
             self.data_collisions += 1
-            self._emit_data_collision(frame, s, "CFP", rho, senders=list(colliding))
+            self.trace.data_collision(frame, s, "CFP", rho, senders=list(colliding))
 
         for rho, i in delivered:
             sid, hop, pkt, _ = sent[i]
             counts[rho]["rx"] += 1
-            self._emit_data_rx(frame, s, "CFP", rho, flow=pkt.flow_id, sender=sid, seq=pkt.seq)
+            self.trace.data_rx(frame, s, "CFP", rho, flow=pkt.flow_id, sender=sid, seq=pkt.seq)
             if rho == hop.flow.dst:
                 self._deliver(frame, s, "CFP", rho, pkt, slot_end)
             else:
@@ -1202,7 +933,7 @@ class Simulation:
             q.pop()
             uplinked = True
             counts[sid]["tx"] += 1
-            self._emit_uplink_tx(frame, s, "CFP", sid, flow=pkt.flow_id, seq=pkt.seq)
+            self.trace.uplink_tx(frame, s, "CFP", sid, flow=pkt.flow_id, seq=pkt.seq)
             self._deliver(frame, s, "CFP", self.sink, pkt, slot_end)
 
         # a listener that heard nothing idled; stations with no part in
@@ -1219,12 +950,12 @@ class Simulation:
 
     def _end_frame(self, frame: int) -> None:
         last = self.layout.cf_slots - 1
-        self._emit_frame_end(frame, last, "CFP", -1)
+        self.trace.frame_end(frame, last, "CFP", -1)
         for sid in sorted(self._datagram_tables):
             st = self.sts[sid]
             self._cf_plan = None
             for e in st.mac.end_of_frame_cleanup(frame):
-                self._emit_rt_delete(
+                self.trace.rt_delete(
                     frame, last, "CFP", sid,
                     kind=e.kind._value_, reason="expire", rx=e.rx, slot_index=e.cf_slot, tx=e.tx,
                 )
@@ -1319,11 +1050,6 @@ class Simulation:
             },
         )
         return report
-
-
-for _kind in _SHAPES:
-    setattr(Simulation, f"_emit_{_kind}", _emitter(_kind, _SHAPES[_kind]))
-del _kind
 
 
 def run_simulation(scenario, seed: int = 0) -> tuple[SimReport, list[dict]]:

@@ -7,7 +7,7 @@ field before handing it to from_dict().
 
 import math
 
-from wmsnsim import engine
+from wmsnsim import trace
 
 HALF_PI = math.pi / 2.0
 
@@ -211,17 +211,17 @@ def signalling_order(horizon=60):
 
 
 def record_trace_lines(monkeypatch):
-    """Records every event line the engine makes from now on, in order, as
-    str; returns the list it fills. Each kind in engine._SHAPES has its
-    own emitter, Simulation._emit_<kind>, which makes its event's line as
-    UTF-8 bytes, and engine._line makes every other: those of
-    Simulation._emit and of a trace serialised without kept text, and an
+    """Records every event line the trace makes from now on, in order, as
+    str; returns the list it fills. Each kind in trace._SHAPES has its
+    own emitter, the Trace method named after it, which makes its event's
+    line as UTF-8 bytes, and trace._line makes every other: those of
+    Trace.emit and of a trace serialised without kept text, and an
     emitter's line when a value fails its type's test. A _line call
     inside an emitter makes that emitter's line, so it is recorded
     once."""
     made = []
     inside = [False]
-    real_line = engine._line
+    real_line = trace._line
 
     def line(*args):
         text = real_line(*args)
@@ -239,8 +239,7 @@ def record_trace_lines(monkeypatch):
             made.append(self._lines[-1].decode())
         return emitter
 
-    monkeypatch.setattr(engine, "_line", line)
-    for kind in engine._SHAPES:
-        name = f"_emit_{kind}"
-        monkeypatch.setattr(engine.Simulation, name, recorded(getattr(engine.Simulation, name)))
+    monkeypatch.setattr(trace, "_line", line)
+    for kind in trace._SHAPES:
+        monkeypatch.setattr(trace.Trace, kind, recorded(getattr(trace.Trace, kind)))
     return made

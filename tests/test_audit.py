@@ -4,7 +4,9 @@ Each test runs a clean scenario, tampers with the recorded trace, and
 checks that exactly the right verdict trips.
 """
 
+import ast
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -511,3 +513,23 @@ def test_footprints_are_built_only_for_claiming_transmitters(monkeypatch):
     others = len(sim.net.cluster_heads()) - 1
     assert 0 < calls[0] <= len(claimers) * others
     assert len(claimers) * others < (others + 1) * others
+
+
+def test_the_auditor_imports_neither_engine_nor_trace_and_no_module_a_private_name():
+    # the auditor's independence from the engine and its trace format is
+    # the point of the audit, and a module's underscore names are its own
+    for path in sorted(Path(audit_mod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [a.name for a in node.names]
+                if node.level or base.split(".")[0] == "wmsnsim":
+                    assert not [n for n in names if n.startswith("_")], (path.name, base)
+                modules = [base] + [f"{base}.{n}" for n in names]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if path.name == "audit.py":
+                parts = {part for m in modules for part in m.split(".")}
+                assert not parts & {"engine", "trace"}, modules

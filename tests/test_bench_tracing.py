@@ -29,6 +29,9 @@ def test_traced_operation_reports_every_declared_layer_metric(tmp_path):
         tracer.uninstall()
     assert not out.failed, out.problems
     assert tracer.wrapped == {name for _, _, _, name in tracing._TARGETS}
+    # a span that no call went through would still read a finite 0
+    spans = [name for _, _, kind, name in tracing._TARGETS if kind == "span"]
+    assert [name for name in spans if not tracer.calls[name]] == []
 
     metrics = tracing.layer_metrics(tracer, out.stats)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]

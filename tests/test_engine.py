@@ -32,7 +32,7 @@ from wmsnsim import (
     serialize_trace,
     trace_digest,
 )
-from wmsnsim import engine
+from wmsnsim import engine, trace as trace_mod
 from wmsnsim.mac import ReservationKind
 from wmsnsim.scenario import FAULT_KINDS, ScenarioError
 from wmsnsim.traffic import SERVICE_CLASSES
@@ -1395,13 +1395,13 @@ LINE_CORPUS = [
 
 def test_every_emitted_line_is_its_events_canonical_json(monkeypatch):
     made, encoded = helpers.record_trace_lines(monkeypatch), [0]
-    recorded_line = engine._line
+    recorded_line = trace_mod._line
 
     def counted(event):
         encoded[0] += 1
         return recorded_line(event)
 
-    monkeypatch.setattr(engine, "_line", counted)
+    monkeypatch.setattr(trace_mod, "_line", counted)
     kinds = set()
     for data in LINE_CORPUS:
         made.clear()
@@ -1412,7 +1412,7 @@ def test_every_emitted_line_is_its_events_canonical_json(monkeypatch):
         # every kind but route has a template, and every value fits it
         assert encoded[0] == sum(e["event"] == "route" for e in trace) > 0
         kinds.update(e["event"] for e in trace)
-    assert kinds == set(engine._SHAPES) | {"route"}
+    assert kinds == set(trace_mod._SHAPES) | {"route"}
 
 
 def test_a_flow_that_finds_no_free_slot_backs_off_for_that_reason():
@@ -1437,14 +1437,14 @@ def test_readme_lists_every_event_kind_with_its_detail_keys():
         listed[event.strip().strip("`")] = [
             re.findall(r"`(\w+)`", shape) for shape in keys.split("; or ")
         ]
-    declared = {event: [[k for k, _ in shape]] for event, shape in engine._SHAPES.items()}
+    declared = {event: [[k for k, _ in shape]] for event, shape in trace_mod._SHAPES.items()}
     declared["route"] = [["flow", "unrouted"], ["flow", "mean_deviation", "path"]]
     assert listed == declared
 
 
 def test_templates_quote_only_strings_json_leaves_as_they_are():
-    assert {"RP", "CFP", "cancel", "overwrite", "expire", "unrouted"} <= engine._QUOTABLE
-    for v in engine._QUOTABLE:
+    assert {"RP", "CFP", "cancel", "overwrite", "expire", "unrouted"} <= trace_mod._QUOTABLE
+    for v in trace_mod._QUOTABLE:
         assert encode_basestring_ascii(v) == f'"{v}"'
 
 
@@ -1485,26 +1485,26 @@ def test_an_event_off_its_kinds_shape_still_comes_out_canonical():
     # (an int that %d, %r and "%s" all write otherwise than JSON), a string
     # JSON must escape, NaN, an empty list (its key is left out), a tuple,
     # a list of something other than ints, and None where it may go
-    emitted = [(e, d) for e, d in made if sorted(d) == [k for k, _ in engine._SHAPES[e]]]
+    emitted = [(e, d) for e, d in made if sorted(d) == [k for k, _ in trace_mod._SHAPES[e]]]
     good = {int: 1, float: 1.5, str: "cancel", list[int]: [1, 2], int | None: 3}
     off = {
         int: [True], float: [True, nan], str: [True, 'quo"te'],
         list[int]: [[], (1, 2), [True], [1.0], ["1"], [[1]]], int | None: [True, 1.0, None],
     }
-    for event, shape in engine._SHAPES.items():
+    for event, shape in trace_mod._SHAPES.items():
         for key, t in shape:
             emitted += [(event, dict({k: good[u] for k, u in shape}, **{key: v})) for v in off[t]]
     envelopes = [(True, 1, "CFP", 2), (0, 2.0, "CFP", 2), (0, 1, "CFP", None),
                  (0, 1, True, 2), (0, 1, 'C"FP', 2), (0, True, "RP", 2), (0, 1, "CFP", True)]
     sim = Simulation(from_dict(helpers.two_hop(horizon=2)), seed=0)
     for event, detail in made:
-        sim._emit(0, 1, "CFP", 2, event, **detail)
-    sim._emit(0, 1, 'C"FP', 2, "wasted_slot", flow=1)  # a phase JSON must escape
+        sim.trace.emit(0, 1, "CFP", 2, event, **detail)
+    sim.trace.emit(0, 1, 'C"FP', 2, "wasted_slot", flow=1)  # a phase JSON must escape
     for event, detail in emitted:
-        getattr(sim, f"_emit_{event}")(0, 1, "CFP", 2, **detail)
-    for event, shape in engine._SHAPES.items():
+        getattr(sim.trace, event)(0, 1, "CFP", 2, **detail)
+    for event, shape in trace_mod._SHAPES.items():
         for envelope in envelopes:
-            getattr(sim, f"_emit_{event}")(*envelope, **{k: good[t] for k, t in shape})
+            getattr(sim.trace, event)(*envelope, **{k: good[t] for k, t in shape})
     report, trace = sim.run()
     assert [e["detail"] for e in trace[:len(made)]] == [d for _, d in made]
     start = len(made) + 1
@@ -1530,15 +1530,15 @@ def test_templates_write_floats_big_ints_and_slot_lists_as_json_does(monkeypatch
     # finite float as its repr, which json.dumps writes too, and %d any
     # int, however large
     fallback = []
-    monkeypatch.setattr(engine, "_line", fallback.append)
+    monkeypatch.setattr(trace_mod, "_line", fallback.append)
     sim = Simulation(from_dict(helpers.two_hop(horizon=2)), seed=0)
     for x in [0.1 + 0.2, 1e16, 1e-7, 5e-324, -0.0, 2.0**53]:
-        sim._emit_packet_gen(0, 0, "RP", 1, created_ms=x, flow=1, seq=2**63 + 1)
-        sim._emit_data_delivered(3, 4, "CFP", 2, delay_ms=x, flow=2, seq=2**64)
-    sim._emit_control_tx(5, 6, "RP", 1, kind="CR", slots=[0, 2**70, 3], to=None)
-    sim._emit_handshake_complete(5, 6, "RP", 1, flow=1, kind="datagram", peer=2, slots=[2**65])
+        sim.trace.packet_gen(0, 0, "RP", 1, created_ms=x, flow=1, seq=2**63 + 1)
+        sim.trace.data_delivered(3, 4, "CFP", 2, delay_ms=x, flow=2, seq=2**64)
+    sim.trace.control_tx(5, 6, "RP", 1, kind="CR", slots=[0, 2**70, 3], to=None)
+    sim.trace.handshake_complete(5, 6, "RP", 1, flow=1, kind="datagram", peer=2, slots=[2**65])
     assert fallback == []
-    assert [line.decode() for line in sim._lines] == [
+    assert [line.decode() for line in sim.trace._lines] == [
         json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in sim.trace
     ]
     assert len(sim.trace) == 14
@@ -1609,6 +1609,10 @@ def test_a_trace_keeps_its_text_only_while_no_event_is_added():
     assert list(copy) == trace
     assert serialize_trace(copy) == want and trace_digest(copy) == report.trace_digest
     assert serialize_trace(list(trace)) == want
+    # list methods that copy the items themselves, records included
+    for items in (trace.copy(), trace + [], list(reversed(trace))[::-1]):
+        assert type(items[-1]) is tuple
+        assert serialize_trace(items) == want and trace_digest(items) == report.trace_digest
     # an event appended after the run's digest (the bytes are kept) ...
     trace.append({"frame": 99, "slot": 0, "phase": "RP", "station": 1,
                   "event": "x", "detail": {"a": [1.5, "\u00e9"]}})
@@ -1619,6 +1623,24 @@ def test_a_trace_keeps_its_text_only_while_no_event_is_added():
     assert trace_digest(trace) == sha256_hex(canonical(trace))
     assert serialize_trace(trace) == canonical(trace)
     assert serialize_trace(pickle.loads(pickle.dumps(trace))) == canonical(trace)
+
+
+def test_a_trace_read_or_appended_to_during_a_run_keeps_its_text():
+    # the frame's fold adds its lines to text kept by a digest or a
+    # serialisation, and folds none once an event came in without a line
+    class Reading(Simulation):
+        def _end_frame(self, frame):
+            super()._end_frame(frame)
+            if frame == 1:
+                trace_digest(self.trace)
+            elif frame == 2:
+                serialize_trace(self.trace)
+            elif frame == 3:
+                self.trace.append({"frame": 3, "event": "x", "detail": {}})
+
+    report, trace = Reading(from_dict(helpers.two_hop(horizon=6)), seed=0).run()
+    assert serialize_trace(trace) == canonical(trace)
+    assert report.trace_digest == sha256_hex(canonical(trace))
 
 
 def test_a_trace_holds_records_and_reads_as_event_dicts():
@@ -1646,7 +1668,7 @@ def test_a_trace_holds_records_and_reads_as_event_dicts():
 def test_the_auditor_reads_records_and_event_dicts_alike(data):
     # it reads a record's fields by position, from a key table of its own,
     # and turns an event dict into a record through that same table: a
-    # table that drifts from engine._SHAPES gives other verdicts here
+    # table that drifts from trace._SHAPES gives other verdicts here
     sc = from_dict(data)
     sim = Simulation(sc, seed=0)
     _, trace = sim.run()
