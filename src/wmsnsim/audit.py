@@ -241,14 +241,6 @@ def run_audits(
     discipline = report.rp_slot_discipline
     rt_persist = report.realtime_persistence
 
-    hop_cache: dict[tuple[int, int], int | None] = {}
-
-    def hops(a: int, b: int) -> int | None:
-        key = (a, b) if a < b else (b, a)
-        if key not in hop_cache:
-            hop_cache[key] = rf_hop_distance(net, a, b)
-        return hop_cache[key]
-
     agree_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def agreement_set(x: int, y: int) -> tuple[int, ...]:
@@ -386,7 +378,7 @@ def run_audits(
             collision_free.flag(frame=frame, station=st, senders=senders)
             for a, b in combinations(sorted(senders), 2):
                 hop_bound.checked += 1
-                h = hops(a, b)
+                h = rf_hop_distance(net, a, b)
                 if h is None or not (1 <= h <= 4):
                     hop_bound.flag(
                         frame=frame, receiver=st, pair=[a, b], hop_distance=h

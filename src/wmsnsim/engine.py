@@ -19,19 +19,17 @@ and no real-time flow has reached its stop frame, every owner would be
 skipped, so run() skips the frame's whole RP. A CF slot plays its plan:
 the senders with their addressees and hops, and the listeners, built
 from the reservation tables and the slots each hop holds only after a
-table changed. The run keeps every CF channel outcome by what decides
-it, the senders that sent with their addressees and the slot's
-listeners, and every RP channel outcome by its senders, since every
-cluster head listens to each control channel. So a channel is resolved,
-and its Transmissions built, once per such set in a run, however often
-the tables change.
+table changed. The run keeps every channel outcome, RP and CF, in one
+memo by what decides it: the senders that sent with their addressees
+(None for a control message), and the listeners, which for a control
+channel are every cluster head. So a channel is resolved, and its
+Transmissions built, once per such set in a run, however often the
+tables change.
 A CF slot's start is the frame's first CF slot start, taken once per
 frame, plus a per-slot offset. A slot scans queues for missed deadlines
 only once the earliest queued deadline can have passed, and polls the
 optical uplink only at cluster heads that are some flow's last hop and
-only while their uplink queue holds a packet. A slot whose plan has no
-sender and no listener ends right after that scan while every uplink
-queue is empty, since nothing can happen in it.
+only while their uplink queue holds a packet.
 Energy is counted as it is spent (sending, receiving, listening for a
 reserved packet); idle listening in the RP and sleep are booked in bulk
 at the end of the run. The frame boundary visits only tables that hold
@@ -152,10 +150,12 @@ def resolve_slot(
 
     A listener successfully receives exactly when a single transmission's
     interference footprint covers it and that same transmission's
-    communication range covers it too. Two or more footprints over one
+    communication range covers it too, and the transmission is for it: a
+    data packet (`to` set) only for its addressee, a control message
+    (`to` None) for every station. Two or more footprints over one
     listener corrupt each other there (a collision at that listener);
-    one footprint without decode range is just noise. Transmitting
-    stations hear nothing themselves.
+    any other lone footprint is just noise. Transmitting stations hear
+    nothing themselves.
 
     Returns (delivered, collisions): receiver id -> transmission, and
     receiver id -> sorted sender ids that collided there, both keyed in
@@ -176,7 +176,7 @@ def resolve_slot(
         touching = hits[rho]
         if len(touching) == 1:
             t = touching[0]
-            if rho in t.comm:
+            if rho in t.comm and (t.to is None or t.to == rho):
                 delivered[rho] = t
         else:
             collisions[rho] = sorted(t.sender for t in touching)
@@ -430,12 +430,10 @@ class Simulation:
 
         # built by _schedule(), dropped by every table change
         self._cf_plan: list[tuple[list, frozenset]] | None = None
-        # CF channel outcomes by ((station, addressee) of each sender that
-        # sent, listeners): what decides one, so they outlive any plan
+        # RP and CF channel outcomes by ((station, addressee) of each
+        # sender that sent, listeners): what decides one, so they outlive
+        # any plan; an RP sender's addressee is None, a CF sender's never
         self._outcomes: dict[tuple, tuple[list, list]] = {}
-        # RP channel outcomes by the senders, in order: every cluster head
-        # listens to every control channel, so nothing else decides one
-        self._control_outcomes: dict[tuple, tuple[list, list]] = {}
         # each CF slot's start, as an offset from the first one's: run()
         # takes that once per frame, and the sum is the layout's own
         self._cf_len = self.layout.cf_slot_len_ms
@@ -622,25 +620,33 @@ class Simulation:
         self.trace.control_tx(frame, r, "RP", sid, kind=kind, slots=list(msg.slots), to=msg.dst)
         channel.append((sid, msg))
 
+    def _outcome(self, sent, listeners, comm, intf) -> tuple[list, list]:
+        """What `listeners` hear when the stations of `sent`, ((station,
+        addressee or None), ...), key up in order with the ranges comm and
+        intf: ([(listener, index into sent)], [(listener, colliding
+        senders)]), both in listener order. It is kept by (sent,
+        listeners), and Transmissions are built only on a miss."""
+        key = (sent, listeners)
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            delivered, collisions = resolve_slot(
+                [
+                    Transmission(sender=sid, payload=i, comm=comm[sid], interf=intf[sid], to=to)
+                    for i, (sid, to) in enumerate(sent)
+                ],
+                listeners,
+            )
+            outcome = self._outcomes[key] = (
+                [(rho, t.payload) for rho, t in delivered.items()], list(collisions.items()),
+            )
+        return outcome
+
     def _resolve_control(self, frame, r, channel) -> list[tuple[int, ControlMessage]]:
         """The messages that the control channel [(sender, message)]
         delivers, as [(receiver, message)] in receiver order, with its
-        collisions emitted. Every cluster head listens, so the outcome
-        depends only on the senders: it is kept by their tuple, and a
-        Transmission is built only for a tuple not resolved yet."""
-        key = tuple([sid for sid, _ in channel])
-        outcome = self._control_outcomes.get(key)
-        if outcome is None:
-            comm, intf = self.rf_comm, self.rf_intf
-            sent = [
-                Transmission(sender=sid, payload=i, comm=comm[sid], interf=intf[sid])
-                for i, sid in enumerate(key)
-            ]
-            delivered, collisions = resolve_slot(sent, self.ch_set)
-            outcome = self._control_outcomes[key] = (
-                [(rho, t.payload) for rho, t in delivered.items()], list(collisions.items()),
-            )
-        delivered, collisions = outcome
+        collisions emitted. Every cluster head listens to every message."""
+        sent = tuple([(sid, None) for sid, _ in channel])
+        delivered, collisions = self._outcome(sent, self.ch_set, self.rf_comm, self.rf_intf)
         for rho, senders in collisions:
             self.control_collisions += 1
             self.trace.control_collision(frame, r, "RP", rho, senders=list(senders))
@@ -832,27 +838,6 @@ class Simulation:
             self._cf_plan = [(senders[s], frozenset(listeners[s])) for s in slots]
         return self._cf_plan
 
-    def _resolve_data(self, sent, listeners) -> tuple[list, list]:
-        """The channel outcome of a CF slot in which the stations of `sent`
-        [(station, hop, packet, addressee)] send: ([(listener, index into
-        sent)] for each packet its addressee receives, [(listener, sorted
-        colliding senders)]), both in listener order. It depends only on
-        each sender's station and addressee, in order, and the listeners,
-        so _cf_slot keeps it by those."""
-        channel = [
-            Transmission(
-                sender=sid, payload=i,
-                comm=self.fso_comm[sid], interf=self.fso_intf[sid], to=to,
-            )
-            for i, (sid, _, _, to) in enumerate(sent)
-        ]
-        delivered, collisions = resolve_slot(channel, listeners)
-        # a lone packet addressed to another station is noise at a listener
-        return (
-            [(rho, t.payload) for rho, t in delivered.items() if t.to == rho],
-            sorted(collisions.items()),
-        )
-
     def _cf_slot(self, frame: int, s: int) -> None:
         # the frame's first CF slot start, which run() sets, plus this
         # slot's offset: the layout's own sum, bit for bit
@@ -873,13 +858,6 @@ class Simulation:
 
         plan = self._cf_plan
         senders, listeners = (self._schedule() if plan is None else plan)[s]
-        if not senders and not listeners:
-            # no one sends or listens, so only an uplink can use the slot
-            for _, q in self.uplinks:
-                if len(q):
-                    break
-            else:
-                return
         counts = self.meter.counts
         sent, tx, pairs = [], [], []
         for sid, to, hop in senders:
@@ -891,23 +869,18 @@ class Simulation:
                 continue
             q.pop()
             counts[sid]["tx"] += 1
-            sent.append((sid, hop, pkt, to))
+            sent.append((sid, hop, pkt))
             tx.append(sid)
             pairs.append((sid, to))
             self.trace.data_tx(frame, s, "CFP", sid, flow=pkt.flow_id, seq=pkt.seq, to=to)
 
-        # the outcome is resolved once per senders and listeners in a run
-        key = (tuple(pairs), listeners)
-        outcome = self._outcomes.get(key)
-        if outcome is None:
-            outcome = self._outcomes[key] = self._resolve_data(sent, listeners)
-        delivered, collisions = outcome
+        delivered, collisions = self._outcome(tuple(pairs), listeners, self.fso_comm, self.fso_intf)
         for rho, colliding in collisions:
             self.data_collisions += 1
             self.trace.data_collision(frame, s, "CFP", rho, senders=list(colliding))
 
         for rho, i in delivered:
-            sid, hop, pkt, _ = sent[i]
+            sid, hop, pkt = sent[i]
             counts[rho]["rx"] += 1
             self.trace.data_rx(frame, s, "CFP", rho, flow=pkt.flow_id, sender=sid, seq=pkt.seq)
             if rho == hop.flow.dst:
@@ -916,7 +889,7 @@ class Simulation:
                 self._forward(frame, s, "CFP", rho, self.flows[pkt.flow_id], pkt)
         if len(delivered) < len(sent):
             got = {i for _, i in delivered}
-            for i, (sid, _, pkt, _) in enumerate(sent):
+            for i, (sid, _, pkt) in enumerate(sent):
                 if i not in got:
                     pkt.dropped = DropReason.COLLISION
                     self._drop(frame, s, "CFP", sid, pkt)

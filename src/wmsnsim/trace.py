@@ -183,12 +183,13 @@ class Trace(list):
 
     Its items are records, which its emitters append, and dicts, the
     events of emit and any a caller appends. It reads as a list of event
-    dicts: indexing, slicing, iteration, == and pickling give each
-    record's event as _event builds it; list methods such as index,
-    count, copy and + see the items themselves. The engine only appends
-    to its trace and never changes an event after emitting it, so the
-    kept text stays valid while len(trace) == sealed. A list that is
-    changed in place other than by appending must not be a Trace."""
+    dicts: indexing, slicing, iteration, ==, in, count, index and
+    pickling give each record's event as _event builds it, and == reads
+    the other list's items so too; copy and + see the items themselves.
+    The engine only appends to its trace and never changes an event
+    after emitting it, so the kept text stays valid while len(trace) ==
+    sealed. A list changed in place other than by appending must not be
+    a Trace."""
 
     sealed = 0
     _text: bytearray | str | None = None
@@ -206,10 +207,19 @@ class Trace(list):
         return map(_event, list.__iter__(self))
 
     def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, list) else NotImplemented
+        return list(self) == list(map(_event, other)) if isinstance(other, list) else NotImplemented
 
     def __ne__(self, other):
-        return list(self) != list(other) if isinstance(other, list) else NotImplemented
+        return list(self) != list(map(_event, other)) if isinstance(other, list) else NotImplemented
+
+    def __contains__(self, value):
+        return value in iter(self)
+
+    def count(self, value):
+        return list(self).count(value)
+
+    def index(self, value, *bounds):
+        return list(self).index(value, *bounds)
 
     def emit(self, frame: int, slot: int, phase: str, station: int, event: str, **detail):
         """Append an event as a dict, and its line: a route event, whose

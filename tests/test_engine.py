@@ -11,7 +11,7 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -65,9 +65,9 @@ def events(trace, name, station=None):
     return out
 
 
-def tx(sender, comm, interf, payload=None):
+def tx(sender, comm, interf, payload=None, to=None):
     return Transmission(
-        sender=sender, payload=payload, comm=frozenset(comm), interf=frozenset(interf)
+        sender=sender, payload=payload, comm=frozenset(comm), interf=frozenset(interf), to=to
     )
 
 
@@ -97,6 +97,21 @@ def test_resolve_slot_transmitters_hear_nothing():
     assert 10 not in delivered and 10 not in collisions
 
 
+def test_resolve_slot_gives_a_data_packet_to_its_addressee_only():
+    # a lone data packet over a listener it is not addressed to is noise
+    # there, neither delivered nor a collision; a control message (to
+    # None) reaches every listener in its decode range
+    data = tx(1, comm={10, 11}, interf={10, 11, 12}, to=11)
+    assert resolve_slot([data], {10, 11, 12}) == ({11: data}, {})
+    control = tx(1, comm={10, 11}, interf={10, 11, 12})
+    assert resolve_slot([control], {10, 11, 12}) == ({10: control, 11: control}, {})
+    # an addressee outside decode range hears noise too
+    assert resolve_slot([tx(1, comm={10}, interf={10, 11}, to=11)], {10, 11}) == ({}, {})
+    # addressed packets still collide wherever two footprints meet
+    other = tx(2, comm={12}, interf={11, 12}, to=12)
+    assert resolve_slot([data, other], {10, 11, 12}) == ({}, {11: [1, 2], 12: [1, 2]})
+
+
 def scan_resolve(transmissions, listeners):
     """resolve_slot as it was written before it walked the senders'
     footprints: every listener against every transmission."""
@@ -109,7 +124,7 @@ def scan_resolve(transmissions, listeners):
         if not touching:
             continue
         if len(touching) == 1:
-            if rho in touching[0].comm:
+            if rho in touching[0].comm and touching[0].to in (None, rho):
                 delivered[rho] = touching[0]
         else:
             collisions[rho] = sorted(t.sender for t in touching)
@@ -117,8 +132,8 @@ def scan_resolve(transmissions, listeners):
 
 
 def test_resolve_slot_matches_the_listener_scan():
-    rng = random.Random(11)
-    deaf_senders = 0
+    rng, to_rng = random.Random(11), random.Random(12)
+    deaf_senders = misaddressed = 0
     for case in range(600):
         ids = range(rng.randint(1, 12))
         txs = []
@@ -133,7 +148,17 @@ def test_resolve_slot_matches_the_listener_scan():
         deaf_senders += any(
             t.sender in listeners and t.sender in u.interf for t in txs for u in txs
         )
+        # the same channel with some of its packets addressed, drawn from
+        # a stream of their own so the cases above stay as they were
+        addressed = [
+            replace(t, to=to_rng.choice(ids)) if to_rng.random() < 0.6 else t for t in txs
+        ]
+        got = resolve_slot(addressed, listeners)
+        want = scan_resolve(addressed, listeners)
+        assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+        misaddressed += len(got[0]) < len(resolve_slot(txs, listeners)[0])
     assert deaf_senders > 100  # transmitters in the listener set are covered
+    assert misaddressed > 100  # so are lone packets at a listener not addressed
     assert resolve_slot([], {1, 2}) == ({}, {})
     assert resolve_slot([tx(1, {2}, {2})], set()) == ({}, {})
 
@@ -928,12 +953,10 @@ def test_cf_outcomes_outlive_table_changes(monkeypatch):
     # churn's datagram entries change some table every frame, which once
     # threw every kept outcome away (1,600 calls); an outcome is kept by
     # the senders with their addressees and the listeners instead. The
-    # empty channel with no listener was the eighth: such a slot now ends
-    # before its outcome whenever every uplink queue is empty, as it is
-    # in each of churn's
+    # eighth is the empty channel with no listener
     report, slots, calls = cf_resolves(monkeypatch, helpers.churn())
     assert slots == 1600
-    assert calls == 7
+    assert calls == 8
     assert report.trace_digest == (
         "67b6746460916ebe6c3837a2945405b2becc10be441f84e02a2901cb47c0b080"
     )
@@ -989,8 +1012,10 @@ def test_kept_control_outcomes_match_a_fresh_resolve_at_every_rp_channel(
     sim = ControlChecked(from_dict(data), seed=0)
     report, _ = sim.run()
     assert report.control_collisions == sim.collisions_checked == collisions
-    # (sender tuples resolved, channels played)
-    assert (len(sim._control_outcomes), sim.channels_checked) == resolved
+    # (sender tuples resolved, channels played): an RP channel's outcome
+    # is kept with senders whose addressees are all None
+    kept = [sent for sent, _ in sim._outcomes if sent and all(to is None for _, to in sent)]
+    assert (len(kept), sim.channels_checked) == resolved
     assert report.trace_digest == digest
 
 
@@ -1097,6 +1122,10 @@ def test_a_frame_in_which_no_station_can_signal_skips_its_rp(monkeypatch):
     )
 
 
+class OutcomeAndControlChecked(OutcomeChecked, ControlChecked):
+    """Checks every kept CF and RP channel outcome."""
+
+
 def random_layout(rng):
     """A small jittered grid of cluster heads with sectors aimed roughly
     east, a base station east of it, a few sensors, and flows of every
@@ -1162,7 +1191,7 @@ def test_a_random_layout_validates_runs_and_serialises_canonically():
         lambda d: d.update(horizon_frames=0),
         lambda d: d["faults"].append({"kind": "CR", "frame": 0, "sender": 100}),
     ]
-    ran = refused = 0
+    ran = refused = cf_slots = rp_channels = 0
     for case in range(30):
         data = random_layout(rng)
         if case % 4 == 3:
@@ -1172,11 +1201,18 @@ def test_a_random_layout_validates_runs_and_serialises_canonically():
         except ScenarioError:
             refused += 1
             continue
-        report, trace = Simulation(sc, seed=case).run()
+        # the kept channel outcomes are checked against fresh resolves
+        # too, with slotting off and wider footprints among the draws
+        sim = OutcomeAndControlChecked(sc, seed=case)
+        report, trace = sim.run()
         assert serialize_trace(trace) == canonical(list(trace)), case
         assert report.trace_digest == sha256_hex(canonical(list(trace))), case
+        assert sim.collisions_checked == report.control_collisions + report.data_collisions
+        cf_slots += sim.slots_checked
+        rp_channels += sim.channels_checked
         ran += 1
     assert (ran, refused) == (23, 7)
+    assert (cf_slots, rp_channels) == (17520, 551)
 
 
 def test_slot_times_are_exact_with_slot_lengths_that_do_not_sum_exactly():
@@ -1653,6 +1689,10 @@ def test_a_trace_holds_records_and_reads_as_event_dicts():
     assert trace[-1] == events[-1] and trace[2:5] == events[2:5]
     assert list(trace) == events and trace == list(trace) and trace == events
     assert not trace != events and trace != events[1:]
+    # a plain list of its own items, and membership, count and index,
+    # read events too
+    assert trace == trace.copy() and trace.copy() == trace and not trace != trace.copy()
+    assert trace[3] in trace and trace.count(trace[3]) == 1 and trace.index(trace[3]) == 3
     copy = pickle.loads(pickle.dumps(trace))
     assert isinstance(copy, list) and copy == events
     # an empty list stays in its record, and its key is left out of the
