@@ -6,7 +6,9 @@ grid-derived schedule position) followed by a contention-free period of
 reserved data slots. Everything is deterministic for a given scenario
 and seed: per-station and per-flow RNG streams are derived from the
 seed by name, and every iteration over stations, flows, or table
-entries happens in sorted order.
+entries happens in sorted order. A station's stream is seeded on its
+first draw, so set-up seeds none; only stations that contend or back off
+draw, and the stream is the one its name gives whenever it is seeded.
 
 A run's work follows the protocol, not slots x stations. An RP slot
 asks only the cluster heads that own it whether to contend, and ends
@@ -64,6 +66,7 @@ import gc
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .geometry import float_sum
 from .mac import (
@@ -256,9 +259,9 @@ class _FlowRuntime:
 class _StationState:
     """Mutable per-station simulation state."""
 
-    def __init__(self, sid: int, cf_slots: int, rng: random.Random, waiting: set[int]):
+    def __init__(self, sid: int, cf_slots: int, seed: int, waiting: set[int]):
         self.sid = sid
-        self.rng = rng
+        self.seed = seed
         self.mac = StationMac(sid, cf_slots)
         self.hops: dict[int, _Hop] = {}  # flow id -> the hop we send, ascending
         # the polled optical uplink, where some flow leaves the mesh here
@@ -271,6 +274,12 @@ class _StationState:
         # the run's stations with some hop that holds no slots, shared by
         # every station and kept by set_slots
         self.waiting = waiting
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """The station's stream, seeded by name on its first draw: only a
+        station that contends or backs off ever draws."""
+        return random.Random(f"{self.seed}/station/{self.sid}")
 
     def set_slots(self, hop: _Hop, slots: tuple[int, ...] | None) -> None:
         """Give one of our hops its slots, or None: every change of a
@@ -389,12 +398,7 @@ class Simulation:
 
         self._waiting: set[int] = set()  # see _StationState.waiting
         self.sts: dict[int, _StationState] = {
-            sid: _StationState(
-                sid,
-                self.layout.cf_slots,
-                random.Random(f"{seed}/station/{sid}"),
-                self._waiting,
-            )
+            sid: _StationState(sid, self.layout.cf_slots, seed, self._waiting)
             for sid in self.ch_ids
         }
         self.meter = EnergyMeter(self.all_ids, self.energy_costs)
@@ -898,7 +902,7 @@ class Simulation:
         # uplink: one buffered packet straight up per otherwise idle slot
         uplinked = False
         for sid, q in self.uplinks:
-            if not len(q) or sid in listeners or sid in tx:
+            if not q.packets or sid in listeners or sid in tx:
                 continue
             pkt = q.head_ready(slot_start)
             if pkt is None:

@@ -310,20 +310,33 @@ def _enumerate_paths(
                 stack.append(iter(succ[w]))
 
 
-def score_path(net: Network, path: Path) -> PathScore:
-    """Mean perpendicular deviation of the intermediate stations from the
-    source-sink reference line. Direct paths score 0.0."""
-    src = net.station(path.hops[0]).position
-    dst = net.station(path.hops[-1]).position
-    devs = tuple(
-        point_to_line_distance(net.station(h).position, src, dst)
-        for h in path.hops[1:-1]
-    )
+class _Deviations(dict):
+    """Each station's perpendicular distance from the source-sink
+    reference line, by station id, computed on first ask."""
+
+    def __init__(self, net: Network, source: int, sink: int):
+        super().__init__()
+        self._net = net
+        self._line = (net.station(source).position, net.station(sink).position)
+
+    def __missing__(self, sid: int) -> float:
+        d = self[sid] = point_to_line_distance(self._net.station(sid).position, *self._line)
+        return d
+
+
+def _score(path: Path, deviation: _Deviations) -> PathScore:
+    devs = tuple(map(deviation.__getitem__, path.hops[1:-1]))
     if devs:
         mean = float_sum(devs) / (path.hop_count - 1)
     else:
         mean = 0.0
     return PathScore(path=path, mean_deviation=mean, intermediate_deviations=devs)
+
+
+def score_path(net: Network, path: Path) -> PathScore:
+    """Mean perpendicular deviation of the intermediate stations from the
+    source-sink reference line. Direct paths score 0.0."""
+    return _score(path, _Deviations(net, path.hops[0], path.hops[-1]))
 
 
 def selection_key(score: PathScore) -> tuple[float, int, tuple[int, ...]]:
@@ -338,10 +351,12 @@ def rank_paths(
     sink: int,
     config: RouteConfig = RouteConfig(),
 ) -> list[PathScore]:
-    """The collected paths, scored, best first by `selection_key`. The
-    paths are distinct, so the key never ties."""
+    """The collected paths, scored as `score_path` scores each, best
+    first by `selection_key`. The paths are distinct, so the key never
+    ties. A station's deviation is computed once for all the paths."""
+    deviation = _Deviations(net, source, sink)
     return sorted(
-        (score_path(net, p) for p in collect_paths(net, source, sink, config)),
+        (_score(p, deviation) for p in collect_paths(net, source, sink, config)),
         key=selection_key,
     )
 

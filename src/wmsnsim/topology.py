@@ -13,10 +13,21 @@ one lazily filled index: `rf_reach` (who hears a station's radio),
 send data to) and `rf_hops` (radio hop counts over mutual range). Both
 reach relations take a `scale` that widens the range to an interference
 footprint. The helper functions below are reads of that index.
+
+The two reach relations test only the stations near the asking one, so
+set-up follows the geometry, not stations squared: the stations are
+bucketed into square cells a little wider than the reach, and only the
+3x3 block of cells around the asker is tested, by the same exact
+distance or sector test as every other station would be. A station in
+reach is at most the reach away on each axis, so its cell is at most one
+cell away on each axis, and the widening outweighs the rounding of both
+the distance test and the cell arithmetic (see `Network._near`). The
+buckets only skip stations that cannot pass the test; they never decide.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -30,6 +41,11 @@ from .geometry import (
     grid_of,
     sector_contains,
 )
+
+
+# a cell's side over the reach it serves: relative and absolute widening
+_WIDEN = 2.0**-20
+_SLACK = 2.0**-40
 
 
 class UnknownStationError(KeyError):
@@ -87,6 +103,12 @@ class Network:
         self._stations = by_id
         self.sink = sink
         self.grid_spec = grid_spec
+        # the largest coordinate magnitude, at least 1: the scale of the
+        # cell arithmetic's rounding
+        self._extent = max(
+            [1.0] + [abs(c) for s in by_id.values() for c in (s.position.x, s.position.y)]
+        )
+        self._cells: dict[float, tuple[float, dict[tuple[int, int], list[Station]]]] = {}
         self._rf_reach: dict[tuple[int, float], frozenset[int]] = {}
         self._beam: dict[tuple[int, float], frozenset[int]] = {}
         self._data_links: dict[int, tuple[int, ...]] = {}
@@ -122,7 +144,7 @@ class Network:
             limit = me.rf_range * scale
             heard = self._rf_reach[key] = frozenset(
                 s.id
-                for s in self._stations.values()
+                for s in self._near(me, limit)
                 if s.id != x and distance(me.position, s.position) <= limit
             )
         return heard
@@ -139,10 +161,44 @@ class Network:
             sector = replace(me.sector, range=me.sector.range * scale)
             hit = self._beam[key] = frozenset(
                 s.id
-                for s in self._stations.values()
+                for s in self._near(me, sector.range)
                 if s.id != x and sector_contains(sector, s.position)
             )
         return hit
+
+    def _near(self, me: Station, limit: float) -> list[Station]:
+        """A superset of the stations within `limit` of `me`: those in
+        the 3x3 block of cells around me's, on a grid of square cells of
+        side `limit` * (1 + _WIDEN) + extent * _SLACK, where extent is the
+        largest coordinate magnitude (at least 1). Each grid is built on
+        the first ask for its limit.
+
+        Nothing in reach is missed. The exact test passes only if the
+        rounded axis difference is at most `limit`, so the true one is at
+        most `limit` * (1 + 2**-52). Each cell index floors a quotient
+        rounded by at most 2**-53 of coordinate / side, so two indices
+        differ by more than one only if the true axis difference exceeds
+        side - 2**-52 * extent, which the widening keeps above that bound.
+        The absolute term keeps the side positive at `limit` 0, where only
+        stations at the same position, so in the same cell, are in reach.
+        """
+        grid = self._cells.get(limit)
+        if grid is None:
+            side = limit * (1.0 + _WIDEN) + self._extent * _SLACK
+            cells: dict[tuple[int, int], list[Station]] = {}
+            for s in self._stations.values():
+                key = (math.floor(s.position.x / side), math.floor(s.position.y / side))
+                cells.setdefault(key, []).append(s)
+            grid = self._cells[limit] = (side, cells)
+        side, cells = grid
+        cx = math.floor(me.position.x / side)
+        cy = math.floor(me.position.y / side)
+        return [
+            s
+            for gx in (cx - 1, cx, cx + 1)
+            for gy in (cy - 1, cy, cy + 1)
+            for s in cells.get((gx, gy), ())
+        ]
 
     def data_links(self, x: int) -> tuple[int, ...]:
         """Cluster heads inside cluster head x's beam and, for the

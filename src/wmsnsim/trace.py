@@ -164,11 +164,16 @@ _OPTIONAL = {kind: k for kind, shape in _SHAPES.items() for k, t in shape if t =
 def _event(item):
     """The event dict of a trace item: a record as the dict of frame,
     slot, phase, station, event and detail it stands for, built anew on
-    each call around the record's own values; a dict as it is."""
+    each call around the record's own values; anything else, such as a
+    dict or a tuple that is no record, as it is."""
     if type(item) is not tuple:
         return item
-    kind = item[0]
-    detail = dict(zip(_KEYS[kind], item[5:]))
+    try:
+        kind = item[0]
+        keys = _KEYS[kind]
+    except (IndexError, KeyError, TypeError):  # no kind first: no record
+        return item
+    detail = dict(zip(keys, item[5:]))
     k = _OPTIONAL.get(kind)
     if k is not None and detail[k] == []:
         del detail[k]

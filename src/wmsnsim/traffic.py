@@ -224,22 +224,26 @@ class PacketQueue:
     leaves it, and a scan in `expire` makes it exact again. So while
     `now_ms <= next_deadline` no packet can have expired, whatever the
     mix of deadlines in the queue.
+
+    `packets` holds the queue, oldest first, for reading only: a hot loop
+    tests it for emptiness without the call len() makes. `expire` puts a
+    new deque there, so read the attribute anew each time.
     """
 
     def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY):
         self.capacity = capacity
-        self._q: deque[PacketRecord] = deque()
+        self.packets: deque[PacketRecord] = deque()
         self.next_deadline = math.inf
 
     def __len__(self) -> int:
-        return len(self._q)
+        return len(self.packets)
 
     def push(self, pkt: PacketRecord) -> bool:
         """False (and a drop mark) when the queue is full."""
-        if len(self._q) >= self.capacity:
+        if len(self.packets) >= self.capacity:
             pkt.dropped = DropReason.OVERFLOW
             return False
-        self._q.append(pkt)
+        self.packets.append(pkt)
         if pkt.deadline_ms is not None and pkt.deadline_ms < self.next_deadline:
             self.next_deadline = pkt.deadline_ms
         return True
@@ -247,12 +251,12 @@ class PacketQueue:
     def head_ready(self, now_ms: float) -> PacketRecord | None:
         """Oldest packet that already exists at `now_ms`, without removing
         it. Creation times are monotone, so only the head can qualify."""
-        if self._q and self._q[0].created_ms <= now_ms:
-            return self._q[0]
+        if self.packets and self.packets[0].created_ms <= now_ms:
+            return self.packets[0]
         return None
 
     def pop(self) -> PacketRecord:
-        return self._q.popleft()
+        return self.packets.popleft()
 
     def expire(self, now_ms: float) -> list[PacketRecord]:
         """Drop every queued packet whose deadline precedes `now_ms`, in
@@ -263,7 +267,7 @@ class PacketQueue:
         dropped = []
         keep = deque()
         due = math.inf
-        for pkt in self._q:
+        for pkt in self.packets:
             d = pkt.deadline_ms
             if d is not None and d < now_ms:
                 pkt.dropped = DropReason.DEADLINE_MISS
@@ -272,6 +276,6 @@ class PacketQueue:
                 keep.append(pkt)
                 if d is not None and d < due:
                     due = d
-        self._q = keep
+        self.packets = keep
         self.next_deadline = due
         return dropped

@@ -1704,6 +1704,14 @@ def test_a_trace_holds_records_and_reads_as_event_dicts():
         assert "slots" not in trace[i]["detail"] and trace[i] == events[i]
 
 
+def test_a_trace_compares_unequal_to_tuples_that_are_no_records():
+    # a tuple whose first item is no event kind is compared as it is
+    trace = trace_mod.Trace([{"a": 1}])
+    for other in ([(1, 2)], [()], [([1], 2)], [("no_such_kind", 0)]):
+        assert not trace == other and trace != other
+    assert trace_mod.Trace([(1, 2)]) == [(1, 2)]
+
+
 @pytest.mark.parametrize("data", LINE_CORPUS + [line_mixed(60)])
 def test_the_auditor_reads_records_and_event_dicts_alike(data):
     # it reads a record's fields by position, from a key table of its own,

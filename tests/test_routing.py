@@ -25,6 +25,7 @@ from wmsnsim import (
     rank_paths,
     score_path,
 )
+from wmsnsim.routing import selection_key
 
 GRID = GridSpec(cell_width=10.0, cell_height=10.0)
 TWO_PI = 2 * math.pi
@@ -338,6 +339,22 @@ def test_discover_picks_global_minimum():
         assert best.path.hops == want.path.hops
         assert best.mean_deviation == pytest.approx(want.mean_deviation)
     assert found_some > 5  # the layouts must actually exercise selection
+
+
+def test_rank_paths_scores_each_path_as_score_path_does():
+    # rank_paths shares each station's deviation among the paths; the
+    # scores must equal score_path's, path by path, bit for bit
+    rng = random.Random(97)
+    ranked_some = 0
+    for _ in range(40):
+        net = random_net(rng, draw_rf=rng.random() < 0.5)
+        for source in range(len(net.ids()) - 1):
+            cfg = RouteConfig(max_paths=rng.choice([1, 4, 16, 10_000]))
+            paths = collect_paths(net, source, 99, cfg)
+            want = sorted((score_path(net, p) for p in paths), key=selection_key)
+            assert rank_paths(net, source, 99, cfg) == want
+            ranked_some += len(want) > 1
+    assert ranked_some > 20  # the layouts must share stations among paths
 
 
 def flood_paths(net, source, sink, config):

@@ -230,6 +230,66 @@ def test_link_index_matches_brute_force_geometry():
                         net.beam(s.id, scale)
 
 
+@pytest.mark.parametrize("pitch", [10.0, 0.3])
+@pytest.mark.parametrize("origin", [(0.0, 0.0), (-1234.5, -987.25), (1e6, -1e6)])
+def test_link_index_matches_brute_force_on_lattices(origin, pitch):
+    # a 10 x 10 lattice with every reach on a lattice distance, beam edges
+    # on lattice bearings, coincident stations and radios of range 0, plus
+    # cluster heads off the lattice, which straddle cell borders: the index
+    # must agree with the exact tests applied to every station
+    k = 10
+    reaches = [pitch, 2 * pitch, math.hypot(pitch, pitch)]
+    rng = random.Random(89)
+
+    def at(i):
+        return origin[0] + pitch * (i % k), origin[1] + pitch * (i // k)
+
+    def off_lattice():
+        return tuple(c + rng.uniform(0, pitch * (k - 1)) for c in origin)
+
+    stations = [
+        make_ch(
+            i,
+            *(at(i) if i < k * k else off_lattice()),
+            theta=rng.randrange(8) * math.pi / 4,
+            alpha=rng.choice([math.pi / 4, HALF_PI, math.pi, 2 * math.pi]),
+            reach=rng.choice(reaches),
+            rf=rng.choice([0.0, *reaches]),
+        )
+        for i in range(k * k + 40)
+    ]
+    stations += [
+        make_sensor(200 + i, *at(rng.randrange(k * k)), rf=rng.choice([0.0, pitch]))
+        for i in range(8)
+    ]
+    stations.append(make_bs(999, *at(k * k - 1)))
+    net = make_net(stations, sink=999)
+    heads = {s.id for s in stations if s.kind is StationKind.CLUSTER_HEAD}
+    # the lattice is wider than a 3 x 3 block of cells, so the index prunes
+    assert len(net._near(net.station(0), 2 * pitch)) < len(stations)
+    for scale in (1.0, 1.5):
+        heard = {
+            s.id: {
+                t.id for t in stations
+                if t.id != s.id and distance(s.position, t.position) <= s.rf_range * scale
+            }
+            for s in stations
+        }
+        for s in stations:
+            assert net.rf_reach(s.id, scale) == heard[s.id]
+            if s.id not in heads:
+                continue
+            wide = Sector(s.position, s.sector.theta, s.sector.alpha, s.sector.range * scale)
+            hit = {t.id for t in stations if t.id != s.id and sector_contains(wide, t.position)}
+            assert net.beam(s.id, scale) == hit
+            if scale == 1.0:
+                assert net.data_links(s.id) == tuple(
+                    w for w in sorted(hit)
+                    if w == 999
+                    or (w in heads and w in heard[s.id] and s.id in heard[w])
+                )
+
+
 def test_attach_point_is_the_nearest_cluster_head_by_distance_then_id():
     stations = [make_ch(3, 0, 0), make_ch(1, 20, 0), make_ch(2, 10, 30)]
     stations += [make_sensor(5, 10, 0), make_sensor(6, 12, 0), make_bs(9, 50, 50)]
